@@ -9,12 +9,12 @@ semidefinite feasibility and norm-preserving one-point extension.
 from .certify import (
     CnpCertificate,
     certify_cnp,
+    f_form,
     f_matrix,
     find_non_cnp_triple,
     h_matrix,
-    m_matrix,
 )
-from .embed import BallEmbedding, f_form, reconstruct, universal_embedding
+from .embed import BallEmbedding, reconstruct, universal_embedding
 from .errors import (
     CnpkitError,
     DomainError,
@@ -31,11 +31,8 @@ from .hermitian import (
     Tolerances,
     as_hermitian,
     gram_factor,
-    hadamard,
     inertia,
     is_psd,
-    reciprocal_entrywise,
-    schur_complement,
 )
 from .interpolate import (
     ExtensionDisk,
@@ -65,7 +62,6 @@ from .kernels import (
     gram,
     irreducible_partition,
     kernel_from_json,
-    normalize_at,
 )
 from .suites import (
     EquivalenceReport,
@@ -117,20 +113,15 @@ __all__ = [
     "gram",
     "gram_factor",
     "h_matrix",
-    "hadamard",
     "inertia",
     "irreducible_partition",
     "is_psd",
     "kernel_from_json",
-    "m_matrix",
     "norm_pick_equivalence_suite",
-    "normalize_at",
     "pick_matrix_block",
     "pick_matrix_scalar",
-    "reciprocal_entrywise",
     "reconstruct",
     "rep_operator_norm",
-    "schur_complement",
     "solvable",
     "universal_embedding",
     "vector_complete_suite",

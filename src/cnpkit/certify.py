@@ -2,14 +2,13 @@
 
 The certificate matrices:
 
-* ``f_matrix(sample, base)``: the (n-1)x(n-1) matrix over non-base indices
-  with entries ``1 - k_ib k_bj / (k_ij k_bb)``. The kernel has the complete
-  Nevanlinna-Pick property iff this is PSD for every finite subset and base.
+* ``f_form(sample, base)``: the n-by-n form with entries
+  ``1 - k_ib k_bj / (k_ij k_bb)``; its base row and column vanish.
+  ``f_matrix(sample, base)`` is the same form with them deleted. The kernel
+  has the complete Nevanlinna-Pick property iff this is PSD for every finite
+  subset and base.
 * ``h_matrix(sample)``: the entrywise reciprocal of the Gram. Equivalently,
   the kernel has the property iff this has exactly one positive eigenvalue.
-* ``m_matrix(sample, base)``: ``k_bb / (k_ib k_bj) - 1/k_ij`` over non-base
-  indices; the Schur complement of the base entry of ``h_matrix`` equals
-  ``-m_matrix``, which ties the two tests together by congruence.
 
 ``certify_cnp`` renders the verdict with machine-checkable witnesses. The
 primary decision path is the H-inertia test, which needs no base-point
@@ -33,25 +32,41 @@ from .hermitian import (
     HermitianMatrix,
     Inertia,
     Tolerances,
-    _spectral_scale,
     _symmetrized,
     inertia,
 )
-from .kernels import Kernel, SampleSet, _gram_array, gram, irreducible_partition
+from .kernels import Kernel, _gram_array, gram, irreducible_partition
 
 __all__ = [
     "CnpCertificate",
+    "f_form",
     "f_matrix",
     "h_matrix",
-    "m_matrix",
     "certify_cnp",
     "find_non_cnp_triple",
 ]
 
 
-def _check_irreducible(K: np.ndarray, tol: Tolerances) -> None:
-    amax = float(np.max(np.abs(K))) or 1.0
-    small = np.abs(K) <= tol.kernel_zero_abs * amax
+def _form(K: np.ndarray, base: int) -> np.ndarray:
+    """``1 - k_ib k_bj / (k_ij k_bb)``, zero on the base row and column."""
+    F = 1.0 - np.outer(K[:, base], K[base, :]) / (K * K[base, base].real)
+    F[base, :] = 0.0
+    F[:, base] = 0.0
+    return F
+
+
+def _f(K: np.ndarray, base: int) -> HermitianMatrix:
+    """The F form over the non-base indices."""
+    keep = np.arange(K.shape[0]) != base
+    return _symmetrized(_form(K, base)[np.ix_(keep, keep)])
+
+
+def _reciprocal(K: np.ndarray) -> HermitianMatrix:
+    return _symmetrized(1.0 / K)
+
+
+def _irreducible(K: np.ndarray, tol: Tolerances) -> np.ndarray:
+    small = tol.zero_entries(K)
     if np.any(small):
         i, j = map(int, np.argwhere(small)[0])
         raise ReducibleKernelError(
@@ -59,54 +74,43 @@ def _check_irreducible(K: np.ndarray, tol: Tolerances) -> None:
             "irreducible_partition and certify each block",
             index=(i, j),
         )
+    return K
+
+
+def _checked_for_base(K: np.ndarray, base: int, tol: Tolerances) -> np.ndarray:
+    if not 0 <= base < K.shape[0]:
+        raise DomainError(f"base index {base} out of range [0, {K.shape[0]})")
+    return _irreducible(K, tol)
+
+
+def f_form(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
+    """Full n-by-n positive form ``1 - k_ib k_bj / (k_ij k_bb)``.
+
+    Unlike ``f_matrix`` this keeps the base row and column, which are
+    identically zero. PSD for samples passing certification; a negative
+    eigenvalue here is a refutation witness, reported by downstream
+    consumers rather than raised.
+    """
+    K = _checked_for_base(_gram_array(sample_or_gram), base, tol)
+    return _symmetrized(_form(K, base))
 
 
 def f_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Certificate matrix over the non-base indices.
+    """``f_form`` with its base row and column deleted.
 
-    Entry ``(i, j)`` is ``1 - k_ib k_bj / (k_ij k_bb)`` where ``b`` is the
-    base. Requires an irreducible sample with at least two points. Diagonal
-    entries lie in ``[0, 1)`` by the Cauchy-Schwarz inequality.
+    Entry ``(i, j)`` is ``1 - k_ib k_bj / (k_ij k_bb)`` over the non-base
+    indices. Requires an irreducible sample with at least two points.
+    Diagonal entries lie in ``[0, 1)`` by the Cauchy-Schwarz inequality.
     """
     K = _gram_array(sample_or_gram)
-    n = K.shape[0]
-    if n < 2:
+    if K.shape[0] < 2:
         raise DomainError("f_matrix needs a sample with at least 2 points")
-    if not 0 <= base < n:
-        raise DomainError(f"base index {base} out of range [0, {n})")
-    _check_irreducible(K, tol)
-    idx = [i for i in range(n) if i != base]
-    kbb = K[base, base].real
-    F = 1.0 - np.outer(K[idx, base], K[base, idx]) / (K[np.ix_(idx, idx)] * kbb)
-    return _symmetrized(F)
+    return _f(_checked_for_base(K, base, tol), base)
 
 
 def h_matrix(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Entrywise reciprocal of the Gram of an irreducible sample."""
-    K = _gram_array(sample_or_gram)
-    _check_irreducible(K, tol)
-    return _symmetrized(1.0 / K)
-
-
-def m_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Rank-one-minus-reciprocal intermediate over the non-base indices.
-
-    ``M[i, j] = k_bb / (k_ib k_bj) - 1 / k_ij``; equals the entrywise product
-    of ``f_matrix`` with the nowhere-zero rank-one PSD matrix
-    ``k_bb / (k_ib k_bj)``, so M is PSD exactly when F is. It is also the
-    negated Schur complement of the base entry inside ``h_matrix``.
-    """
-    K = _gram_array(sample_or_gram)
-    n = K.shape[0]
-    if n < 2:
-        raise DomainError("m_matrix needs a sample with at least 2 points")
-    if not 0 <= base < n:
-        raise DomainError(f"base index {base} out of range [0, {n})")
-    _check_irreducible(K, tol)
-    idx = [i for i in range(n) if i != base]
-    kbb = K[base, base].real
-    M = kbb / np.outer(K[idx, base], K[base, idx]) - 1.0 / K[np.ix_(idx, idx)]
-    return _symmetrized(M)
+    return _reciprocal(_irreducible(_gram_array(sample_or_gram), tol))
 
 
 @dataclass(frozen=True)
@@ -140,100 +144,70 @@ def certify_cnp(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> CnpCertificate
     """
     K = _gram_array(sample_or_gram)
     part = irreducible_partition(K, tol)
+    block_inertias: list[Inertia] = []
+    f_min_eigs: list[tuple[int, float]] = []
 
-    if not part.consistent:
-        i, j = part.violations[0]
+    def certificate(verdict: bool, method: str, witness: dict) -> CnpCertificate:
         return CnpCertificate(
-            verdict=False,
-            method="zero_pattern",
+            verdict=verdict,
+            method=method,
             blocks=part.blocks,
-            zero_pattern_consistent=False,
-            block_inertias=(),
-            f_min_eigs=(),
-            witness={
-                "kind": "zero_pattern",
-                "pair": [i, j],
-                "detail": (
-                    f"gram({i}, {j}) = 0 while {i} and {j} are connected through "
-                    "nonzero entries; the zero pattern of a Nevanlinna-Pick "
-                    "kernel must be block-diagonal"
-                ),
-            },
+            zero_pattern_consistent=part.consistent,
+            block_inertias=tuple(block_inertias),
+            f_min_eigs=tuple(f_min_eigs),
+            witness=witness,
             tolerances=tol,
         )
 
-    block_inertias: list[Inertia] = []
-    for block in part.blocks:
-        ix = np.array(block)
-        Kb = K[np.ix_(ix, ix)]
-        H = _symmetrized(1.0 / Kb)
-        w, v = np.linalg.eigh(H.a)
-        thr = tol.zero_eig_rel * _spectral_scale(w)
-        n_pos = int(np.sum(w > thr))
-        n_neg = int(np.sum(w < -thr))
-        ine = Inertia(n_pos, len(block) - n_pos - n_neg, n_neg)
+    if not part.consistent:
+        i, j = part.violations[0]
+        return certificate(False, "zero_pattern", {
+            "kind": "zero_pattern",
+            "pair": [i, j],
+            "detail": (
+                f"gram({i}, {j}) = 0 while {i} and {j} are connected through "
+                "nonzero entries; the zero pattern of a Nevanlinna-Pick "
+                "kernel must be block-diagonal"
+            ),
+        })
+
+    # Every entry inside a block is nonzero on the partition's scale, which is
+    # stricter than the block's own, so the blocks need no further check.
+    grams = [(block, K[np.ix_(block, block)]) for block in part.blocks]
+    for block, Kb in grams:
+        w, v = np.linalg.eigh(_reciprocal(Kb).a)
+        ine = Inertia.of(w, tol)
         block_inertias.append(ine)
-        if n_pos != 1:
-            pos_ix = np.flatnonzero(w > thr)
-            return CnpCertificate(
-                verdict=False,
-                method="h_inertia",
-                blocks=part.blocks,
-                zero_pattern_consistent=True,
-                block_inertias=tuple(block_inertias),
-                f_min_eigs=(),
-                witness={
-                    "kind": "h_inertia",
-                    "block": list(block),
-                    "inertia": ine.as_tuple(),
-                    "positive_eigenvalues": w[pos_ix].tolist(),
-                    "eigenvectors": v[:, pos_ix],
-                },
-                tolerances=tol,
-            )
+        if ine.n_pos != 1:
+            pos = slice(len(w) - ine.n_pos, None)
+            return certificate(False, "h_inertia", {
+                "kind": "h_inertia",
+                "block": list(block),
+                "inertia": ine.as_tuple(),
+                "positive_eigenvalues": w[pos].tolist(),
+                "eigenvectors": v[:, pos],
+            })
 
     # H accepted every block; cross-check the F test for every base index.
-    f_min_eigs: list[tuple[int, float]] = []
-    for block in part.blocks:
+    for block, Kb in grams:
         if len(block) < 2:
             continue
-        ix = np.array(block)
-        Kb = K[np.ix_(ix, ix)]
         for local_base in range(len(block)):
-            F = f_matrix(Kb, local_base, tol)
-            w, v = np.linalg.eigh(F.a)
+            w, v = np.linalg.eigh(_f(Kb, local_base).a)
             f_min_eigs.append((int(block[local_base]), float(w[0])))
-            if w[0] < -tol.psd_slack_rel * _spectral_scale(w):
-                return CnpCertificate(
-                    verdict=False,
-                    method="f_matrix",
-                    blocks=part.blocks,
-                    zero_pattern_consistent=True,
-                    block_inertias=tuple(block_inertias),
-                    f_min_eigs=tuple(f_min_eigs),
-                    witness={
-                        "kind": "f_matrix",
-                        "base": int(block[local_base]),
-                        "block": list(block),
-                        "min_eigenvalue": float(w[0]),
-                        "eigenvector": v[:, 0],
-                    },
-                    tolerances=tol,
-                )
+            if w[0] < tol.psd_floor(w):
+                return certificate(False, "f_matrix", {
+                    "kind": "f_matrix",
+                    "base": int(block[local_base]),
+                    "block": list(block),
+                    "min_eigenvalue": float(w[0]),
+                    "eigenvector": v[:, 0],
+                })
 
-    return CnpCertificate(
-        verdict=True,
-        method="h_inertia",
-        blocks=part.blocks,
-        zero_pattern_consistent=True,
-        block_inertias=tuple(block_inertias),
-        f_min_eigs=tuple(f_min_eigs),
-        witness={
-            "kind": "h_inertia",
-            "block_inertias": [ine.as_tuple() for ine in block_inertias],
-        },
-        tolerances=tol,
-    )
+    return certificate(True, "h_inertia", {
+        "kind": "h_inertia",
+        "block_inertias": [ine.as_tuple() for ine in block_inertias],
+    })
 
 
 def find_non_cnp_triple(

@@ -13,14 +13,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .certify import CnpCertificate, certify_cnp
 from .embed import BallEmbedding, universal_embedding
 from .errors import CnpkitError, DomainError, InfeasibleExtensionError, NotPsdError
-from .hermitian import Inertia, Tolerances
+from .hermitian import Tolerances
 from .interpolate import (
     ExtensionDisk,
     MatrixBall,
@@ -128,18 +128,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # report builders
 
 
-def _tol_json(t: Tolerances) -> dict:
-    return {
-        "zero_eig_rel": t.zero_eig_rel,
-        "psd_slack_rel": t.psd_slack_rel,
-        "kernel_zero_abs": t.kernel_zero_abs,
-    }
-
-
-def _inertia_json(i: Inertia) -> dict:
-    return {"n_pos": i.n_pos, "n_zero": i.n_zero, "n_neg": i.n_neg}
-
-
 def _witness_json(w: dict) -> dict:
     out = {}
     for key, value in w.items():
@@ -166,7 +154,7 @@ def _certificate_json(cert: CnpCertificate) -> dict:
         "method": cert.method,
         "blocks": [list(b) for b in cert.blocks],
         "zero_pattern_consistent": cert.zero_pattern_consistent,
-        "block_inertias": [_inertia_json(i) for i in cert.block_inertias],
+        "block_inertias": [asdict(i) for i in cert.block_inertias],
         "f_matrix_checks": [
             {"base": b, "min_eigenvalue": e} for b, e in cert.f_min_eigs
         ],
@@ -399,7 +387,7 @@ def run(cfg: RunConfig) -> int:
     report = {
         "command": cfg.command,
         "seed": cfg.seed,
-        "tolerances": _tol_json(cfg.tolerances),
+        "tolerances": asdict(cfg.tolerances),
         **report,
     }
     text = csv_text if csv_text is not None else canonical_dumps(report)
@@ -415,7 +403,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return run(cfg)
-    except (CnpkitError, ValueError, np.linalg.LinAlgError) as exc:
+    except (CnpkitError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"cnpkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,33 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import f_form
 from .errors import DomainError
 from .hermitian import DEFAULT_TOL, HermitianMatrix, Tolerances, _symmetrized, gram_factor
-from .kernels import SampleSet, _gram_array, normalize_at
+from .kernels import SampleSet
 
-__all__ = ["BallEmbedding", "f_form", "universal_embedding", "reconstruct"]
-
-
-def f_form(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Full n-by-n positive form ``1 - k_ib k_bj / (k_ij k_bb)``.
-
-    Unlike ``certify.f_matrix`` this keeps the base row and column, which are
-    identically zero. PSD for samples passing certification; a negative
-    eigenvalue here is a refutation witness, reported by downstream
-    consumers rather than raised.
-    """
-    from .certify import _check_irreducible
-
-    K = _gram_array(sample_or_gram)
-    n = K.shape[0]
-    if not 0 <= base < n:
-        raise DomainError(f"base index {base} out of range [0, {n})")
-    _check_irreducible(K, tol)
-    kbb = K[base, base].real
-    F = 1.0 - np.outer(K[:, base], K[base, :]) / (K * kbb)
-    F[base, :] = 0.0
-    F[:, base] = 0.0
-    return _symmetrized(F)
+__all__ = ["BallEmbedding", "universal_embedding", "reconstruct"]
 
 
 @dataclass(frozen=True)
@@ -74,12 +53,12 @@ def universal_embedding(
 ) -> BallEmbedding:
     """Realize a certified sample as a rescaled piece of the ball kernel.
 
-    ``delta`` comes from normalization at ``base``; coordinates come from the
-    Gram factorization of ``f_form``. Raises ``NotPsdError`` when the form is
+    ``delta`` is the base row of the Gram over ``sqrt(k_bb)``; coordinates
+    come from the Gram factorization of ``f_form``, which also checks that
+    every Gram entry is nonzero. Raises ``NotPsdError`` when the form is
     not PSD (contradicting certification) and ``DomainError`` if a coordinate
     reaches the unit sphere beyond tolerance.
     """
-    _, delta = normalize_at(sample, base)
     F = f_form(sample, base, tol)
     coords, m = gram_factor(F, tol)
     norms = np.linalg.norm(coords, axis=1)
@@ -89,18 +68,10 @@ def universal_embedding(
             f"embedded coordinate has norm {worst:.9f} >= 1; the diagonal of "
             "the positive form must stay inside [0, 1)"
         )
-    embedding = BallEmbedding(
-        base=base,
-        delta=delta,
-        coords=coords,
-        m=m,
-        reconstruction_error=0.0,
-        tolerances=tol,
-    )
     K = sample.gram.a
-    err = float(
-        np.max(np.abs(reconstruct(embedding).a - K)) / max(1.0, np.max(np.abs(K)))
-    )
+    delta = K[base, :] / np.sqrt(float(K[base, base].real))
+    rebuilt = _symmetrized(_ball_gram(delta, coords)).a
+    err = float(np.max(np.abs(rebuilt - K)) / max(1.0, np.max(np.abs(K))))
     return BallEmbedding(
         base=base,
         delta=delta,
@@ -111,6 +82,11 @@ def universal_embedding(
     )
 
 
+def _ball_gram(delta: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    S = coords @ coords.conj().T
+    return np.outer(delta.conj(), delta) / (1.0 - S)
+
+
 def reconstruct(e: BallEmbedding) -> HermitianMatrix:
     """Rebuild the Gram matrix encoded by an embedding.
 
@@ -118,6 +94,4 @@ def reconstruct(e: BallEmbedding) -> HermitianMatrix:
     conj(coords[j, l]))``. With ``m = 0`` the inner products vanish and the
     result is the rank-one matrix ``conj(delta_i) delta_j``.
     """
-    S = e.coords @ e.coords.conj().T
-    K = np.outer(e.delta.conj(), e.delta) / (1.0 - S)
-    return _symmetrized(K)
+    return _symmetrized(_ball_gram(e.delta, e.coords))

@@ -1,7 +1,7 @@
 """Dense Hermitian linear algebra primitives.
 
-Inertia, PSD tests with witnesses, Hadamard (entrywise) products, Schur
-complements, entrywise reciprocals, and rank-revealing Gram factorization.
+Inertia, PSD tests with witnesses, rank-revealing Gram factorization, and the
+``Tolerances`` that own every numerical threshold of the kit.
 
 Eigenvalue classification is relative to ``max(1, spectral radius)`` so that
 matrices at very different scales (unit-disk Grams next to hyperbolic-cosine
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsdError, ReducibleKernelError, SingularBlockError
+from .errors import NotPsdError
 
 __all__ = [
     "HermitianMatrix",
@@ -31,14 +31,16 @@ __all__ = [
     "as_hermitian",
     "inertia",
     "is_psd",
-    "hadamard",
-    "schur_complement",
-    "reciprocal_entrywise",
     "gram_factor",
 ]
 
 #: Allowed relative asymmetry of raw input before construction refuses it.
 CONSTRUCTION_TOL = 1e-12
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(A + A*) / 2``: the nearest Hermitian matrix, exactly conjugate-symmetric."""
+    return (a + a.conj().T) / 2.0
 
 
 class HermitianMatrix:
@@ -66,9 +68,8 @@ class HermitianMatrix:
                 f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
                 f"{construction_tol:g} * max(1, |A|) = {construction_tol * scale:.3e}"
             )
-        sym = (a + a.conj().T) / 2.0
-        sym.setflags(write=False)
-        self.a = sym
+        self.a = _hermitian_part(a)
+        self.a.setflags(write=False)
         self.defect = defect
 
     @property
@@ -88,7 +89,13 @@ def as_hermitian(x) -> HermitianMatrix:
 
 def _symmetrized(a: np.ndarray) -> HermitianMatrix:
     """Wrap an internally computed matrix, discarding floating-point skew."""
-    return HermitianMatrix((a + a.conj().T) / 2.0, construction_tol=np.inf)
+    a = np.asarray(a, dtype=np.complex128)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    h = HermitianMatrix.__new__(HermitianMatrix)
+    h.a, h.defect = _hermitian_part(a), 0.0
+    h.a.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,14 @@ class Inertia:
     n_pos: int
     n_zero: int
     n_neg: int
+
+    @staticmethod
+    def of(w: np.ndarray, tol: "Tolerances") -> "Inertia":
+        """Classify eigenvalues ``w`` by sign, zero within ``tol.zero_threshold``."""
+        thr = tol.zero_threshold(w)
+        n_pos = int(np.sum(w > thr))
+        n_neg = int(np.sum(w < -thr))
+        return Inertia(n_pos, len(w) - n_pos - n_neg, n_neg)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_pos, self.n_zero, self.n_neg)
@@ -112,14 +127,15 @@ class Inertia:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the kit.
+    """Numerical thresholds used throughout the kit, each applied by one method.
 
     ``zero_eig_rel``: an eigenvalue counts as zero when its magnitude is at
-    most ``zero_eig_rel * max(1, spectral radius)``.
+    most ``zero_threshold(w) = zero_eig_rel * max(1, spectral radius)``.
     ``psd_slack_rel``: a matrix passes the PSD test when its minimum
-    eigenvalue is at least ``-psd_slack_rel * max(1, spectral radius)``.
-    ``kernel_zero_abs``: a Gram entry counts as zero when its modulus, after
-    normalizing the matrix by its largest modulus entry, is at most this.
+    eigenvalue is at least ``psd_floor(w) = -psd_slack_rel * max(1, spectral
+    radius)``.
+    ``kernel_zero_abs``: a Gram entry counts as zero when its modulus is at
+    most ``kernel_zero_abs * max|K|`` (``zero_entries(K)``).
     """
 
     zero_eig_rel: float = 1e-9
@@ -131,28 +147,30 @@ class Tolerances:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
+    @staticmethod
+    def _scale(w: np.ndarray) -> float:
+        return max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
+
+    def zero_threshold(self, w: np.ndarray) -> float:
+        """Largest eigenvalue magnitude that counts as zero among eigenvalues ``w``."""
+        return self.zero_eig_rel * self._scale(w)
+
+    def psd_floor(self, w: np.ndarray) -> float:
+        """Smallest minimum eigenvalue a PSD matrix with eigenvalues ``w`` may have."""
+        return -self.psd_slack_rel * self._scale(w)
+
+    def zero_entries(self, K: np.ndarray) -> np.ndarray:
+        """Mask of the Gram entries that count as zero."""
+        amax = float(np.max(np.abs(K))) or 1.0
+        return np.abs(K) <= self.kernel_zero_abs * amax
+
 
 DEFAULT_TOL = Tolerances()
 
 
-def _spectral_scale(w: np.ndarray) -> float:
-    if w.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(w))))
-
-
 def inertia(A, tol: Tolerances = DEFAULT_TOL) -> Inertia:
-    """Count eigenvalues of ``A`` by sign.
-
-    An eigenvalue is classified as zero when its magnitude is at most
-    ``tol.zero_eig_rel * max(1, spectral radius)``.
-    """
-    h = as_hermitian(A)
-    w = np.linalg.eigvalsh(h.a)
-    thr = tol.zero_eig_rel * _spectral_scale(w)
-    n_pos = int(np.sum(w > thr))
-    n_neg = int(np.sum(w < -thr))
-    return Inertia(n_pos, h.dim - n_pos - n_neg, n_neg)
+    """Count eigenvalues of ``A`` by sign (zero within ``tol.zero_threshold``)."""
+    return Inertia.of(np.linalg.eigvalsh(as_hermitian(A).a), tol)
 
 
 @dataclass(frozen=True)
@@ -168,71 +186,17 @@ class PsdReport:
 def is_psd(A, tol: Tolerances = DEFAULT_TOL) -> PsdReport:
     """Test positive semidefiniteness within tolerance.
 
-    True iff the minimum eigenvalue is at least
-    ``-tol.psd_slack_rel * max(1, spectral radius)``. The witness carries the
-    minimum eigenvalue and its eigenvector.
+    True iff the minimum eigenvalue is at least ``tol.psd_floor``. The
+    witness carries the minimum eigenvalue and its eigenvector.
     """
-    h = as_hermitian(A)
-    w, v = np.linalg.eigh(h.a)
-    thr = tol.psd_slack_rel * _spectral_scale(w)
+    w, v = np.linalg.eigh(as_hermitian(A).a)
+    floor = tol.psd_floor(w)
     return PsdReport(
-        ok=bool(w[0] >= -thr),
+        ok=bool(w[0] >= floor),
         min_eigenvalue=float(w[0]),
         eigenvector=v[:, 0].copy(),
-        threshold=thr,
+        threshold=-floor,
     )
-
-
-def hadamard(A, B) -> HermitianMatrix:
-    """Entrywise (Schur) product of two Hermitian matrices of equal size."""
-    ha, hb = as_hermitian(A), as_hermitian(B)
-    if ha.dim != hb.dim:
-        raise ValueError(f"dimension mismatch: {ha.dim} vs {hb.dim}")
-    return HermitianMatrix(ha.a * hb.a)
-
-
-def schur_complement(A, tail_size: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Schur complement of the trailing ``tail_size`` block.
-
-    For ``A = [[H, B], [B*, C]]`` with ``C`` the trailing block, returns
-    ``H - B C^{-1} B*``. ``A`` is congruent to ``diag(complement, C)``, so
-    inertia decomposes as ``inertia(A) = inertia(complement) + inertia(C)``.
-    """
-    h = as_hermitian(A)
-    n = h.dim
-    if not 1 <= tail_size < n:
-        raise ValueError(f"tail_size must be in [1, {n - 1}], got {tail_size}")
-    head = n - tail_size
-    C = h.a[head:, head:]
-    wc = np.linalg.eigvalsh(C)
-    w_all = np.linalg.eigvalsh(h.a)
-    if np.min(np.abs(wc)) <= tol.zero_eig_rel * _spectral_scale(w_all):
-        raise SingularBlockError(
-            f"trailing {tail_size}x{tail_size} block is numerically singular "
-            f"(|eigenvalue| {np.min(np.abs(wc)):.3e})"
-        )
-    B = h.a[:head, head:]
-    comp = h.a[:head, :head] - B @ np.linalg.solve(C, B.conj().T)
-    return _symmetrized(comp)
-
-
-def reciprocal_entrywise(A, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Entrywise reciprocal; Hermitian by conjugate symmetry of the input.
-
-    Every entry must have modulus above ``tol.kernel_zero_abs``. A zero entry
-    signals a reducible kernel: partition the sample first
-    (``kernels.irreducible_partition``) and take reciprocals per block.
-    """
-    h = as_hermitian(A)
-    small = np.abs(h.a) <= tol.kernel_zero_abs
-    if np.any(small):
-        i, j = map(int, np.argwhere(small)[0])
-        raise ReducibleKernelError(
-            f"entry ({i}, {j}) is zero within tolerance; the kernel is "
-            "reducible - partition into irreducible blocks first",
-            index=(i, j),
-        )
-    return HermitianMatrix(1.0 / h.a)
 
 
 def gram_factor(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, int]:
@@ -247,10 +211,8 @@ def gram_factor(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, int]:
     descending, and each eigenvector's phase fixed so its first
     significantly nonzero component is real positive.
     """
-    h = as_hermitian(A)
-    w, v = np.linalg.eigh(h.a)
-    scale = _spectral_scale(w)
-    if w[0] < -tol.psd_slack_rel * scale:
+    w, v = np.linalg.eigh(as_hermitian(A).a)
+    if w[0] < tol.psd_floor(w):
         raise NotPsdError(
             f"matrix is not PSD: min eigenvalue {w[0]:.6e} below "
             f"-{tol.psd_slack_rel:g} * max(1, spectral radius)",
@@ -258,7 +220,7 @@ def gram_factor(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, int]:
         )
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    keep = w > tol.zero_eig_rel * scale
+    keep = w > tol.zero_threshold(w)
     w, v = w[keep], v[:, keep]
     for col in range(v.shape[1]):
         nz = np.flatnonzero(np.abs(v[:, col]) > 1e-8)

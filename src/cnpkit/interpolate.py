@@ -39,7 +39,7 @@ from .hermitian import (
     DEFAULT_TOL,
     HermitianMatrix,
     Tolerances,
-    _spectral_scale,
+    _hermitian_part,
     _symmetrized,
     is_psd,
 )
@@ -171,17 +171,16 @@ def rep_operator_norm(p: PickProblem, tol: Tolerances = DEFAULT_TOL) -> float:
             p.sample.n * p.mu, p.sample.n * p.mu
         )
         G = np.kron(K, np.eye(p.mu))
-    wg, vg = np.linalg.eigh((G + G.conj().T) / 2.0)
-    thr = tol.zero_eig_rel * _spectral_scale(wg)
-    keep = wg > thr
+    wg, vg = np.linalg.eigh(_hermitian_part(G))
+    keep = wg > tol.zero_threshold(wg)
     if not np.all(keep):
         warnings.warn(
             "Gram matrix numerically singular; operator norm computed on its range",
             stacklevel=2,
         )
     T = vg[:, keep] / np.sqrt(wg[keep])
-    Ms = T.conj().T @ ((S + S.conj().T) / 2.0) @ T
-    w = np.linalg.eigvalsh((Ms + Ms.conj().T) / 2.0)
+    Ms = T.conj().T @ _hermitian_part(S) @ T
+    w = np.linalg.eigvalsh(_hermitian_part(Ms))
     top = float(w[-1]) if w.size else 0.0
     return float(np.sqrt(max(top, 0.0)))
 
@@ -268,16 +267,15 @@ def _extended_gram(kernel: Kernel, pts: list, new_point, tol: Tolerances):
 def _range_split(P: np.ndarray, tol: Tolerances):
     """Eigen-split of a PSD-within-tolerance matrix into range and null parts."""
     w, V = np.linalg.eigh(P)
-    scale = _spectral_scale(w)
-    slack = tol.psd_slack_rel * scale
-    if w.size and w[0] < -slack:
+    floor = tol.psd_floor(w)
+    if w.size and w[0] < floor:
         raise NotPsdError(
             f"leading Pick block is not PSD (min eigenvalue {w[0]:.6e}); "
             "the data is not solvable",
             min_eigenvalue=float(w[0]),
         )
-    keep = w > tol.zero_eig_rel * scale
-    return w[keep], V[:, keep], V[:, ~keep], slack
+    keep = w > tol.zero_threshold(w)
+    return w[keep], V[:, keep], V[:, ~keep], -floor
 
 
 def _scalar_disk(K_ext: np.ndarray, lam: np.ndarray, tol: Tolerances):
@@ -295,7 +293,7 @@ def _scalar_disk(K_ext: np.ndarray, lam: np.ndarray, tol: Tolerances):
         return complex(0.0), 1.0
     K = K_ext[:n, :n]
     u = K_ext[:n, n]
-    P = (_scalar_pick(K, lam) + _scalar_pick(K, lam).conj().T) / 2.0
+    P = _hermitian_part(_scalar_pick(K, lam))
     wk, Vr, Vp, slack = _range_split(P, tol)
     v = lam.conj() * u
     ur, vr = Vr.conj().T @ u, Vr.conj().T @ v
@@ -403,10 +401,9 @@ def extend_one_point_matrix(
     E = Ur.conj().T @ (Ur / wk[:, None])
     A = Vrng.conj().T @ (Vrng / wk[:, None])
     B = Vrng.conj().T @ (Ur / wk[:, None])
-    T = kzz * np.eye(nu) + (A + A.conj().T) / 2.0
+    T = kzz * np.eye(nu) + _hermitian_part(A)
     W0 = np.linalg.solve(T, B).conj().T
-    RL = kzz * np.eye(mu) - E + W0 @ B
-    RL = (RL + RL.conj().T) / 2.0
+    RL = _hermitian_part(kzz * np.eye(mu) - E + W0 @ B)
 
     wl, Vl = np.linalg.eigh(RL)
     if wl[0] < -slack:
@@ -442,8 +439,7 @@ def extend_one_point_matrix(
             Ppin = np.linalg.pinv(Vc) @ Vc
             free = np.eye(nu) - Ppin
             center_W = (Wstar + free @ W0.conj().T).conj().T
-            right = free @ T_inv @ free.conj().T
-            right = (right + right.conj().T) / 2.0
+            right = _hermitian_part(free @ T_inv @ free.conj().T)
 
     center = center_W.conj()
     ext_targets = np.concatenate([p.targets, center[np.newaxis]], axis=0)

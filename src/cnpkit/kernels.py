@@ -1,4 +1,4 @@
-"""Kernel catalog, sample Grams, normalization, and the irreducibility partition.
+"""Kernel catalog, sample Grams, and the irreducibility partition.
 
 Catalog variants and their domains:
 
@@ -7,7 +7,7 @@ variant               formula                                     domain
 ====================  ==========================================  ==================
 ``Szego``             ``1 / (1 - conj(x) y)``                     ``|z| < 1``
 ``Bergman``           ``1 / (1 - conj(x) y)^2``                   ``|z| < 1``
-``Dirichlet``         ``sum_{p>=0} (conj(x) y)^p / (p + 1)``      ``|z| < 1``
+``Dirichlet``         ``-log(1 - conj(x) y) / (conj(x) y)``       ``|z| < 1``
 ``Sobolev``           ``cosh(min) cosh(1 - max) / sinh(1)``       ``t in [0, 1]``
 ``Ball(m)``           ``1 / (1 - <x, y>)`` on ``l^2_m``           ``|x| < 1``
 ``ExplicitGram``      stored matrix, points are row indices       n/a
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ReducibleKernelError
-from .hermitian import DEFAULT_TOL, HermitianMatrix, Tolerances, as_hermitian
+from .errors import DomainError
+from .hermitian import DEFAULT_TOL, HermitianMatrix, Tolerances, _hermitian_part, as_hermitian
 
 __all__ = [
     "Kernel",
@@ -45,13 +45,16 @@ __all__ = [
     "Partition",
     "kernel_from_json",
     "gram",
-    "normalize_at",
     "irreducible_partition",
 ]
 
 
 class Kernel:
-    """Base class of catalog kernels. Subclasses are immutable value objects."""
+    """Base class of catalog kernels. Subclasses are immutable value objects.
+
+    A subclass supplies ``coerce_point`` and ``cross``, its one formula;
+    ``evaluate`` and ``gram_matrix`` are read off ``cross``.
+    """
 
     name = "abstract"
 
@@ -59,14 +62,18 @@ class Kernel:
         """Validate and normalize a raw point into this kernel's point type."""
         raise NotImplementedError
 
-    def evaluate(self, x, y) -> complex:
-        """Kernel value ``k(x, y)``; satisfies ``k(y, x) = conj(k(x, y))``."""
+    def cross(self, xs, ys) -> np.ndarray:
+        """Matrix of kernel values ``k(x, y)``, rows over ``xs``, columns over ``ys``."""
         raise NotImplementedError
 
+    def evaluate(self, x, y) -> complex:
+        """Kernel value ``k(x, y)``; satisfies ``k(y, x) = conj(k(x, y))``."""
+        return complex(self.cross([x], [y])[0, 0])
+
     def gram_matrix(self, points) -> np.ndarray:
-        return np.array(
-            [[self.evaluate(x, y) for y in points] for x in points], dtype=complex
-        )
+        """Hermitian part of ``cross(points, points)``: rounding skew can exceed
+        the construction tolerance, as for the Dirichlet kernel near ``|z| = 1``."""
+        return _hermitian_part(self.cross(points, points))
 
     def to_json(self) -> dict:
         return {"type": self.name}
@@ -82,6 +89,10 @@ def _disk_point(p, kernel_name: str) -> complex:
     return z
 
 
+def _disk_products(xs, ys) -> np.ndarray:
+    return np.outer(np.asarray(xs, dtype=complex).conj(), np.asarray(ys, dtype=complex))
+
+
 class Szego(Kernel):
     """Hardy-space kernel of the unit disk, ``1 / (1 - conj(x) y)``."""
 
@@ -90,12 +101,8 @@ class Szego(Kernel):
     def coerce_point(self, p) -> complex:
         return _disk_point(p, self.name)
 
-    def evaluate(self, x, y) -> complex:
-        return 1.0 / (1.0 - np.conj(x) * y)
-
-    def gram_matrix(self, points) -> np.ndarray:
-        z = np.asarray(points, dtype=complex)
-        return 1.0 / (1.0 - np.outer(z.conj(), z))
+    def cross(self, xs, ys) -> np.ndarray:
+        return 1.0 / (1.0 - _disk_products(xs, ys))
 
 
 class Bergman(Kernel):
@@ -109,58 +116,31 @@ class Bergman(Kernel):
     def coerce_point(self, p) -> complex:
         return _disk_point(p, self.name)
 
-    def evaluate(self, x, y) -> complex:
-        return 1.0 / (1.0 - np.conj(x) * y) ** 2
-
-    def gram_matrix(self, points) -> np.ndarray:
-        z = np.asarray(points, dtype=complex)
-        return 1.0 / (1.0 - np.outer(z.conj(), z)) ** 2
+    def cross(self, xs, ys) -> np.ndarray:
+        return 1.0 / (1.0 - _disk_products(xs, ys)) ** 2
 
 
 class Dirichlet(Kernel):
-    """Dirichlet-space kernel, evaluated by truncated power series.
+    """Dirichlet-space kernel ``-log(1 - w) / w`` with ``w = conj(x) y``.
 
-    The series ``sum (conj(x) y)^p / (p + 1)`` handles the removable
-    singularity at 0 cleanly; the closed form ``-log(1 - w) / w`` is kept as
-    a cross-check away from 0.
+    Evaluated as ``-log1p(-w) / w``. Below ``|w| = 1e-2`` the removable
+    singularity at 0 is handled by the power series ``sum w^p / (p + 1)``,
+    whose first eight terms reach double precision there.
     """
 
     name = "dirichlet"
 
-    def __init__(self, series_terms: int = 200):
-        if series_terms < 1:
-            raise ValueError("series_terms must be >= 1")
-        self.series_terms = int(series_terms)
-
     def coerce_point(self, p) -> complex:
         return _disk_point(p, self.name)
 
-    def _series(self, w):
-        # Horner evaluation of sum_{p<N} w^p / (p+1), vectorized over w.
-        acc = np.zeros_like(np.asarray(w, dtype=complex))
-        for p in range(self.series_terms - 1, -1, -1):
-            acc = acc * w + 1.0 / (p + 1)
-        return acc
-
-    def evaluate(self, x, y) -> complex:
-        return complex(self._series(np.conj(x) * y))
-
-    @staticmethod
-    def closed_form(w: complex) -> complex:
-        """``-log(1 - w) / w`` for ``w != 0``; cross-check only."""
-        if w == 0:
-            return 1.0 + 0j
-        return -np.log(1.0 - w) / w
-
-    def gram_matrix(self, points) -> np.ndarray:
-        z = np.asarray(points, dtype=complex)
-        return self._series(np.outer(z.conj(), z))
-
-    def to_json(self) -> dict:
-        return {"type": self.name, "series_terms": self.series_terms}
-
-    def __repr__(self) -> str:
-        return f"Dirichlet(series_terms={self.series_terms})"
+    def cross(self, xs, ys) -> np.ndarray:
+        w = _disk_products(xs, ys)
+        near = np.abs(w) < 1e-2
+        series = np.zeros_like(w)
+        for p in range(7, -1, -1):
+            series = series * w + 1.0 / (p + 1)
+        far = np.where(near, 0.5, w)
+        return np.where(near, series, -np.log1p(-far) / far)
 
 
 class Sobolev(Kernel):
@@ -181,14 +161,10 @@ class Sobolev(Kernel):
             raise DomainError(f"sobolev kernel needs t in [0, 1], got {t:.6g}")
         return t
 
-    def evaluate(self, x, y) -> complex:
-        lo, hi = min(x, y), max(x, y)
-        return complex(np.cosh(lo) * np.cosh(1.0 - hi) / np.sinh(1.0))
-
-    def gram_matrix(self, points) -> np.ndarray:
-        t = np.asarray(points, dtype=float)
-        lo = np.minimum.outer(t, t)
-        hi = np.maximum.outer(t, t)
+    def cross(self, xs, ys) -> np.ndarray:
+        s, t = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        lo = np.minimum.outer(s, t)
+        hi = np.maximum.outer(s, t)
         return (np.cosh(lo) * np.cosh(1.0 - hi) / np.sinh(1.0)).astype(complex)
 
 
@@ -217,12 +193,9 @@ class Ball(Kernel):
         x.setflags(write=False)
         return x
 
-    def evaluate(self, x, y) -> complex:
-        return 1.0 / (1.0 - complex(np.sum(np.conj(x) * y)))
-
-    def gram_matrix(self, points) -> np.ndarray:
-        X = np.asarray(points, dtype=complex)
-        return 1.0 / (1.0 - X.conj() @ X.T)
+    def cross(self, xs, ys) -> np.ndarray:
+        X, Y = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
+        return 1.0 / (1.0 - X.conj() @ Y.T)
 
     def to_json(self) -> dict:
         return {"type": self.name, "m": self.m}
@@ -251,12 +224,8 @@ class ExplicitGram(Kernel):
             raise DomainError(f"gram index {i} out of range [0, {self.matrix.dim})")
         return i
 
-    def evaluate(self, x, y) -> complex:
-        return complex(self.matrix.a[x, y])
-
-    def gram_matrix(self, points) -> np.ndarray:
-        ix = np.asarray(points, dtype=int)
-        return self.matrix.a[np.ix_(ix, ix)].copy()
+    def cross(self, xs, ys) -> np.ndarray:
+        return self.matrix.a[np.ix_(np.asarray(xs, dtype=int), np.asarray(ys, dtype=int))]
 
     def to_json(self) -> dict:
         from .serialize import complex_matrix_to_json
@@ -272,26 +241,30 @@ class ExplicitGram(Kernel):
 
 
 def kernel_from_json(doc: dict) -> Kernel:
-    """Build a catalog kernel from its JSON description."""
+    """Build a catalog kernel from its JSON description; extra keys are ignored."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"kernel must be a JSON object, got {doc!r}")
     kind = doc.get("type")
     if kind == "szego":
         return Szego()
     if kind == "bergman":
         return Bergman()
     if kind == "dirichlet":
-        return Dirichlet(series_terms=int(doc.get("series_terms", 200)))
+        return Dirichlet()
     if kind == "sobolev":
         return Sobolev()
     if kind == "ball":
-        if "m" not in doc:
-            raise DomainError("ball kernel JSON needs field 'm'")
-        return Ball(m=int(doc["m"]))
+        m = doc.get("m")
+        if not isinstance(m, int) or isinstance(m, bool):
+            raise DomainError("ball kernel JSON needs an integer field 'm'")
+        return Ball(m=m)
     if kind == "gram":
         from .serialize import complex_matrix_from_json
 
-        return ExplicitGram(
-            complex_matrix_from_json(doc["matrix"]), labels=doc.get("labels")
-        )
+        labels = doc.get("labels")
+        if "matrix" not in doc or not (labels is None or isinstance(labels, list)):
+            raise DomainError("explicit-gram JSON needs 'matrix' and an optional 'labels' list")
+        return ExplicitGram(complex_matrix_from_json(doc["matrix"]), labels=labels)
     raise DomainError(f"unknown kernel type {kind!r}")
 
 
@@ -333,7 +306,7 @@ def gram(kernel: Kernel, points, tol: Tolerances = DEFAULT_TOL) -> SampleSet:
 
     Points must be pairwise distinct and in the kernel's domain, and the Gram
     must be positive (semi)definite within tolerance: a minimum eigenvalue
-    below ``-psd_slack_rel * max(1, spectral radius)`` is rejected.
+    below ``tol.psd_floor`` is rejected.
     """
     pts = [kernel.coerce_point(p) for p in points]
     if not pts:
@@ -345,48 +318,13 @@ def gram(kernel: Kernel, points, tol: Tolerances = DEFAULT_TOL) -> SampleSet:
     K = kernel.gram_matrix(pts)
     h = as_hermitian(K)
     w = np.linalg.eigvalsh(h.a)
-    floor = -tol.psd_slack_rel * max(1.0, float(np.max(np.abs(w))))
+    floor = tol.psd_floor(w)
     if w[0] < floor:
         raise DomainError(
             f"Gram matrix is not positive definite within tolerance: "
             f"min eigenvalue {w[0]:.6e} < {floor:.3e}"
         )
     return SampleSet(kernel=kernel, points=tuple(pts), gram=h)
-
-
-def normalize_at(sample: SampleSet, base: int) -> tuple[SampleSet, np.ndarray]:
-    """Rescale the sample so the base row of the Gram is identically one.
-
-    Returns ``(normalized_sample, delta)`` with
-    ``gram'[i, j] = k_bb * gram[i, j] / (gram[i, b] * gram[b, j])`` and
-    ``delta[j] = gram[b, j] / sqrt(k_bb)``, so that
-    ``gram[i, j] = conj(delta[i]) * delta[j] * gram'[i, j]``.
-
-    Rescaling by a nowhere-zero rank-one factor changes neither multipliers
-    nor any certification verdict.
-    """
-    K = sample.gram.a
-    n = sample.n
-    if not 0 <= base < n:
-        raise DomainError(f"base index {base} out of range [0, {n})")
-    row = K[base, :]
-    amax = float(np.max(np.abs(K))) or 1.0
-    small = np.abs(row) <= DEFAULT_TOL.kernel_zero_abs * amax
-    if np.any(small):
-        j = int(np.flatnonzero(small)[0])
-        raise ReducibleKernelError(
-            f"gram({base}, {j}) is zero: the sample is reducible at the base row",
-            index=(base, j),
-        )
-    k00 = float(K[base, base].real)
-    delta = row / np.sqrt(k00)
-    Kp = k00 * K / np.outer(row.conj(), row)
-    normalized = SampleSet(
-        kernel=ExplicitGram(Kp, labels=sample.point_labels()),
-        points=tuple(range(n)),
-        gram=as_hermitian(Kp),
-    )
-    return normalized, delta
 
 
 @dataclass(frozen=True)
@@ -417,12 +355,11 @@ def irreducible_partition(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> Part
 
     Accepts a ``SampleSet`` or a raw Hermitian matrix (arbitrary Grams may
     violate the block structure; that is reported, never raised). An entry
-    counts as zero when ``|K[i, j]| <= kernel_zero_abs * max|K|``.
+    counts as zero by ``tol.zero_entries``.
     """
     K = _gram_array(sample_or_gram)
     n = K.shape[0]
-    amax = float(np.max(np.abs(K))) or 1.0
-    nonzero = np.abs(K) > tol.kernel_zero_abs * amax
+    nonzero = ~tol.zero_entries(K)
 
     parent = list(range(n))
 

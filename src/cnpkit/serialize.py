@@ -9,6 +9,7 @@ through a temp file plus rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -37,12 +38,16 @@ def complex_to_json(z) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _is_number(v) -> bool:
+    # JSON true/false load as bool, a subclass of int that the exact type
+    # test leaves out; Python's json also accepts NaN and Infinity.
+    return type(v) in (int, float) and math.isfinite(v)
+
+
 def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(
-        isinstance(c, (int, float)) for c in v
-    ):
+    if isinstance(v, list) and len(v) == 2 and _is_number(v[0]) and _is_number(v[1]):
         return complex(v[0], v[1])
     raise DomainError(f"expected a number or [re, im] pair, got {v!r}")
 
@@ -77,7 +82,7 @@ def point_to_json(p):
 
 
 def _point_from_json(v):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return float(v)
     if isinstance(v, list) and v and isinstance(v[0], list):
         return np.array([complex_from_json(c) for c in v], dtype=complex)
@@ -116,14 +121,16 @@ def parse_points_doc(doc, kernel_override: Kernel | None = None):
         if not isinstance(kernel, ExplicitGram):
             raise DomainError("--kernel conflicts with an explicit-gram points file")
         points = doc.get("points", list(range(kernel.matrix.dim)))
+        if not isinstance(points, list) or not all(_is_number(i) for i in points):
+            raise DomainError("explicit-gram 'points' must be a list of row indices")
         return kernel, [int(i) for i in points]
     kernel = kernel_override
     if kernel is None:
         if "kernel" not in doc:
             raise DomainError("points file has no kernel; pass --kernel")
         kernel = kernel_from_json(doc["kernel"])
-    if "points" not in doc:
-        raise DomainError("points file is missing 'points'")
+    if not isinstance(doc.get("points"), list):
+        raise DomainError("points file needs a 'points' list")
     pts = [_point_from_json(v) for v in doc["points"]]
     if isinstance(kernel, ExplicitGram):
         pts = [int(complex(p).real) if not isinstance(p, np.ndarray) else p for p in pts]
@@ -135,9 +142,18 @@ def parse_targets_doc(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise DomainError("'targets' must be an object")
     if "scalar" in doc:
+        if not isinstance(doc["scalar"], list):
+            raise DomainError("scalar targets must be a list")
         return np.array([complex_from_json(v) for v in doc["scalar"]], dtype=complex)
     if "matrix" in doc:
         m = doc["matrix"]
+        if not (
+            isinstance(m, dict)
+            and _is_number(m.get("mu"))
+            and _is_number(m.get("nu"))
+            and isinstance(m.get("data"), list)
+        ):
+            raise DomainError("matrix targets need numbers 'mu' and 'nu' and a 'data' list")
         mu, nu = int(m["mu"]), int(m["nu"])
         data = np.array(
             [complex_matrix_from_json(rows) for rows in m["data"]], dtype=complex
@@ -151,7 +167,7 @@ def parse_targets_doc(doc) -> np.ndarray:
 
 
 def parse_eval_doc(doc) -> list:
-    pts = doc["points"] if isinstance(doc, dict) else doc
+    pts = doc.get("points") if isinstance(doc, dict) else doc
     if not isinstance(pts, list):
         raise DomainError("evaluation file must be a list or {'points': [...]}")
     return [_point_from_json(v) for v in pts]

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import f_matrix
-from .hermitian import DEFAULT_TOL, Tolerances, _spectral_scale, is_psd
+from .certify import _reciprocal, f_matrix
+from .hermitian import DEFAULT_TOL, Tolerances, inertia, is_psd
 from .interpolate import (
     PickProblem,
     VectorCompleteReport,
@@ -103,9 +103,7 @@ def certificate_equivalence_suite(
         K = _random_gram(rng, t % 5)
         n = K.shape[0]
 
-        w = np.linalg.eigvalsh((1.0 / K + (1.0 / K).conj().T) / 2.0)
-        thr = tol.zero_eig_rel * _spectral_scale(w)
-        h_verdict = int(np.sum(w > thr)) == 1
+        h_verdict = inertia(_reciprocal(K), tol).n_pos == 1
 
         f_verdict = True
         worst = np.inf
@@ -113,7 +111,7 @@ def certificate_equivalence_suite(
             F = f_matrix(K, b, tol)
             wf = np.linalg.eigvalsh(F.a)
             worst = min(worst, float(wf[0]))
-            if wf[0] < -tol.psd_slack_rel * _spectral_scale(wf):
+            if wf[0] < tol.psd_floor(wf):
                 f_verdict = False
                 break
 

@@ -28,7 +28,6 @@ from cnpkit import (
     find_non_cnp_triple,
     gram,
     h_matrix,
-    hadamard,
     inertia,
     irreducible_partition,
     is_psd,
@@ -43,6 +42,7 @@ from cnpkit.interpolate import _scalar_pick
 from cnpkit.suites import certificate_equivalence_suite, norm_pick_equivalence_suite
 
 from conftest import FIXTURES, random_disk_points
+from theory import hadamard
 
 TOL = Tolerances()
 SEED = 1729
@@ -105,7 +105,7 @@ def test_criterion_01b_szego_literal_inertia_triple():
 def test_criterion_02_dirichlet_certification():
     with criterion("02", "dirichlet 15-point certification, F floor -1e-8"):
         rng = np.random.default_rng(SEED + 1)
-        sample = gram(Dirichlet(series_terms=200), random_disk_points(rng, 15, 0.8))
+        sample = gram(Dirichlet(), random_disk_points(rng, 15, 0.8))
         cert = certify_cnp(sample, TOL)
         assert cert.verdict is True
         assert len(cert.f_min_eigs) == 15

@@ -13,17 +13,17 @@ from cnpkit import (
     Sobolev,
     Szego,
     certify_cnp,
+    f_form,
     f_matrix,
     find_non_cnp_triple,
     gram,
     h_matrix,
-    hadamard,
     inertia,
+    irreducible_partition,
     is_psd,
-    m_matrix,
-    schur_complement,
 )
 from conftest import random_disk_points
+from theory import hadamard, m_matrix, normalize_at, schur_complement
 
 
 class TestFMatrix:
@@ -45,8 +45,6 @@ class TestFMatrix:
                 assert np.all(d >= -1e-14) and np.all(d < 1.0)
 
     def test_normalized_sample_reduces_to_one_minus_reciprocal(self):
-        from cnpkit import normalize_at
-
         rng = np.random.default_rng(33)
         s = gram(Szego(), random_disk_points(rng, 5, 0.8))
         ns, _ = normalize_at(s, 2)
@@ -58,6 +56,41 @@ class TestFMatrix:
     def test_zero_entry_directs_to_partition(self):
         with pytest.raises(ReducibleKernelError, match="irreducible_partition"):
             f_matrix(np.eye(3), 0)
+
+
+class TestZeroEntryRule:
+    """One rule, ``|K[i, j]| <= kernel_zero_abs * max|K|``, for every consumer."""
+
+    @pytest.mark.parametrize("factor, zero", [(0.5, True), (2.0, False)])
+    def test_every_consumer_classifies_alike(self, tol, factor, zero):
+        # at scale 1e3 the relative threshold is 2e-9, far above the absolute 1e-12
+        K = 1e3 * np.array([[2.0, 0.0, 0.5], [0.0, 2.0, 0.5], [0.5, 0.5, 2.0]], dtype=complex)
+        K[0, 1] = K[1, 0] = factor * tol.kernel_zero_abs * np.max(np.abs(K))
+
+        def refused(build):
+            try:
+                build()
+            except ReducibleKernelError as exc:
+                assert exc.index == (0, 1)
+                return True
+            return False
+
+        zero_seen = {
+            "irreducible_partition": not irreducible_partition(K, tol).consistent,
+            "f_matrix": refused(lambda: f_matrix(K, 2, tol)),
+            "f_form": refused(lambda: f_form(K, 2, tol)),
+            "h_matrix": refused(lambda: h_matrix(K, tol)),
+            "certify_cnp": certify_cnp(K, tol).method == "zero_pattern",
+        }
+        assert zero_seen == dict.fromkeys(zero_seen, zero)
+
+    def test_f_matrix_is_f_form_without_base_row_and_column(self, tol):
+        rng = np.random.default_rng(30)
+        s = gram(Dirichlet(), random_disk_points(rng, 7, 0.9))
+        for b in range(7):
+            keep = [i for i in range(7) if i != b]
+            full = f_form(s, b, tol).a
+            assert np.array_equal(f_matrix(s, b, tol).a, full[np.ix_(keep, keep)])
 
 
 class TestHMatrix:
@@ -92,8 +125,6 @@ class TestMMatrix:
             assert is_psd(m_matrix(s, b), tol).ok == is_psd(f_matrix(s, b), tol).ok
 
     def test_on_normalized_sample_equals_one_minus_h(self):
-        from cnpkit import normalize_at
-
         rng = np.random.default_rng(37)
         s = gram(Szego(), random_disk_points(rng, 5, 0.8))
         ns, _ = normalize_at(s, 0)
@@ -228,8 +259,6 @@ class TestNecessityReduction:
     """
 
     def test_rank_one_reduction_chain(self, tol):
-        from cnpkit import f_form
-
         rng = np.random.default_rng(109)
         pts = random_disk_points(rng, 5, 0.8)
         K = gram(Szego(), pts).gram.a

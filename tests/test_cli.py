@@ -313,3 +313,63 @@ class TestDeterminism:
                 argv + ["--output", str(out2)]
             )
             assert out1.read_bytes() == out2.read_bytes(), name
+
+
+SZEGO_PROBLEM = {
+    "sample": {"kernel": {"type": "szego"}, "points": [[0, 0], [0.5, 0]]},
+    "targets": {"scalar": [[0, 0], [0.25, 0]]},
+}
+MATRIX_TARGETS = {"mu": 1, "nu": 2, "data": [[[[0.1, 0], [0.2, 0]]], [[[0.1, 0], [0.0, 0]]]]}
+
+
+def _without(key):
+    return {k: v for k, v in MATRIX_TARGETS.items() if k != key}
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with a one-line error, never a traceback."""
+
+    # (name, command, points or problem document, evaluation document)
+    CASES = [
+        ("eval-wrong-key", "interpolate", SZEGO_PROBLEM, {"pts": [[0.25, 0]]}),
+        ("extend-eval-wrong-key", "extend", SZEGO_PROBLEM, {"pts": [[0.25, 0]]}),
+        *[
+            (f"matrix-without-{key}", "extend",
+             {**SZEGO_PROBLEM, "targets": {"matrix": _without(key)}}, [[0.25, 0]])
+            for key in ("mu", "nu", "data")
+        ],
+        ("infinite-matrix-size", "extend",
+         {**SZEGO_PROBLEM, "targets": {"matrix": {**MATRIX_TARGETS, "nu": float("inf")}}},
+         [[0.25, 0]]),
+        ("bool-point", "certify", {"kernel": {"type": "szego"}, "points": [False, [0.5, 0]]}, None),
+        ("bool-coordinate", "certify", {"kernel": {"type": "szego"}, "points": [[False, 0], [0.5, 0]]}, None),
+        ("bool-target", "interpolate",
+         {**SZEGO_PROBLEM, "targets": {"scalar": [True, [0.25, 0]]}}, None),
+        ("bool-gram-index", "certify",
+         {"type": "gram", "matrix": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]], "points": [True, 0]},
+         None),
+        ("points-not-a-list", "certify", {"kernel": {"type": "szego"}, "points": 3}, None),
+        ("kernel-not-an-object", "certify", {"kernel": "szego", "points": [[0, 0]]}, None),
+        ("ball-dimension-missing", "certify", {"kernel": {"type": "ball", "m": None}, "points": [[[0, 0]]]},
+         None),
+        ("gram-without-matrix", "certify", {"type": "gram", "labels": ["a"]}, None),
+        ("gram-labels-not-a-list", "certify", {"type": "gram", "matrix": [[[1, 0]]], "labels": 0}, None),
+        ("scalar-targets-not-a-list", "interpolate",
+         {**SZEGO_PROBLEM, "targets": {"scalar": 0.5}}, None),
+    ]
+
+    @pytest.mark.parametrize("name, command, doc, eval_doc", CASES, ids=[c[0] for c in CASES])
+    def test_exits_two_without_traceback(self, tmp_path, capsys, name, command, doc, eval_doc):
+        flag = "--points" if command == "certify" else "--problem"
+        argv = [command, flag, write(tmp_path / "in.json", doc)]
+        if eval_doc is not None:
+            argv += ["--eval", write(tmp_path / "eval.json", eval_doc)]
+        assert main(argv + ["--output", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cnpkit: error:") and "Traceback" not in err
+
+    def test_unwritable_output_exits_two(self, szego_points_file, tmp_path, capsys):
+        out = tmp_path / "missing-directory" / "r.json"
+        assert main(["certify", "--points", szego_points_file, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cnpkit: error:") and "Traceback" not in err

@@ -12,13 +12,11 @@ from cnpkit import (
     Tolerances,
     as_hermitian,
     gram_factor,
-    hadamard,
     inertia,
     is_psd,
-    reciprocal_entrywise,
-    schur_complement,
 )
 from conftest import random_hermitian, random_psd
+from theory import hadamard, reciprocal_entrywise, schur_complement
 
 
 class TestConstruction:

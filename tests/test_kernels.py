@@ -18,9 +18,9 @@ from cnpkit import (
     gram,
     irreducible_partition,
     kernel_from_json,
-    normalize_at,
 )
 from conftest import random_disk_points
+from theory import dirichlet_closed_form, normalize_at
 
 
 ALL_SCALAR_KERNELS = [Szego(), Bergman(), Dirichlet()]
@@ -44,16 +44,29 @@ class TestEvaluate:
             if abs(w) < 0.1:
                 continue
             assert k.evaluate(x, y) == pytest.approx(
-                Dirichlet.closed_form(w), abs=1e-10
+                dirichlet_closed_form(w), abs=1e-10
             )
 
-    def test_dirichlet_truncation_stability(self):
-        # geometric tail: N and 2N terms agree to 1e-10 for |w| <= 0.9
+    def test_dirichlet_closed_form_to_the_boundary(self):
+        # Gram entries against the closed form, from the series region
+        # |w| < 1e-2 out to |z| = 1 - 1e-6. Pairs with |w| < 1e-3 are left
+        # out: there the closed form itself loses digits to cancellation.
         rng = np.random.default_rng(3)
-        kN, k2N = Dirichlet(200), Dirichlet(400)
-        for _ in range(50):
-            x, y = random_disk_points(rng, 2, 0.9486)  # |conj(x) y| <= 0.9
-            assert abs(kN.evaluate(x, y) - k2N.evaluate(x, y)) <= 1e-10
+        radii = np.concatenate(
+            [[1 - 1e-6, 1 - 1e-5, 0.9999, 0.999, 0.99, 0.05, 0.1], rng.uniform(0.03, 1.0, 40)]
+        )
+        z = radii * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, radii.size))
+        K = gram(Dirichlet(), z).gram.a
+        checked = 0
+        for i in range(z.size):
+            for j in range(z.size):
+                w = np.conj(z[i]) * z[j]
+                if abs(w) < 1e-3:
+                    continue
+                expected = dirichlet_closed_form(w)
+                assert abs(K[i, j] - expected) <= 1e-12 * abs(expected), (i, j, abs(w))
+                checked += 1
+        assert checked > 0.9 * z.size**2
 
     def test_sobolev_corner_value(self):
         # coth(1), from the boundary-value derivation
