@@ -14,7 +14,9 @@ The certificate matrices:
 primary decision path is the H-inertia test, which needs no base-point
 choice and, by eigenvalue interlacing, covers every subsample at once; the
 F-matrix test for every base is run as a consistency cross-check whenever
-the H test accepts.
+the H test accepts. That sweep computes eigenvalues only, stacking the F
+matrices of several bases into one solve; eigenvectors are computed only
+for witnesses: the H test's positive eigenvectors, or one failing base's.
 
 A verdict is a statement about the sampled Gram, not about the kernel on its
 whole domain: reports say "certified on this sample".
@@ -47,18 +49,61 @@ __all__ = [
 ]
 
 
-def _form(K: np.ndarray, base: int) -> np.ndarray:
-    """``1 - k_ib k_bj / (k_ij k_bb)``, zero on the base row and column."""
-    F = 1.0 - np.outer(K[:, base], K[base, :]) / (K * K[base, base].real)
-    F[base, :] = 0.0
-    F[:, base] = 0.0
-    return F
+#: Byte budget of one stacked F solve; building the stack takes twice this.
+_SWEEP_BYTES = 2**20
 
 
-def _f(K: np.ndarray, base: int) -> HermitianMatrix:
-    """The F form over the non-base indices."""
-    keep = np.arange(K.shape[0]) != base
-    return _symmetrized(_form(K, base)[np.ix_(keep, keep)])
+def _others(n: int, bases: np.ndarray) -> np.ndarray:
+    """Row ``c`` lists the ``n - 1`` indices other than ``bases[c]``, in order."""
+    j = np.arange(n - 1)
+    return j + (j >= bases[:, np.newaxis])
+
+
+def _forms(K: np.ndarray, bases: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``1 - k_ib k_bj / (k_ij k_bb)`` over ``i, j`` in ``idx[c]``, ``b = bases[c]``.
+
+    The one formula of the F form, stacked over bases as a bare array.
+    """
+    b = bases[:, np.newaxis]
+    F = K[idx, b][:, :, np.newaxis] * K[b, idx][:, np.newaxis, :]
+    den = K[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+    den *= K[bases, bases].real[:, np.newaxis, np.newaxis]
+    F /= den
+    return np.subtract(1.0, F, out=F)
+
+
+def _f(K: np.ndarray, base: int) -> np.ndarray:
+    """The bare F matrix of one base, over the other indices."""
+    bases = np.array([base])
+    return _forms(K, bases, _others(K.shape[0], bases))[0]
+
+
+def _f_sweep(K: np.ndarray, tol: Tolerances) -> tuple[list[float], np.ndarray | None]:
+    """Minimum F eigenvalue at each base of an irreducible Gram, in base order.
+
+    Eigenvalues only, one stacked ``eigvalsh`` per chunk of bases whose F
+    matrices fit in ``_SWEEP_BYTES``; ``eigvalsh`` reads one triangle, so the
+    bare form needs no symmetrizing copy. The sweep stops at the first base
+    whose minimum is below ``tol.psd_floor``; that base alone is solved again
+    with eigenvectors, so its listed minimum is the eigenvalue of the
+    returned unit eigenvector. Returns ``(minima, eigenvector)``, ``eigenvector``
+    None when every base passes; a single point has no F matrix.
+    """
+    n = K.shape[0]
+    minima: list[float] = []
+    if n < 2:
+        return minima, None
+    chunk = max(1, _SWEEP_BYTES // (16 * (n - 1) ** 2))
+    for start in range(0, n, chunk):
+        bases = np.arange(start, min(start + chunk, n))
+        eigenvalues = np.linalg.eigvalsh(_forms(K, bases, _others(n, bases)))
+        for base, w in zip(bases, eigenvalues):
+            if w[0] < tol.psd_floor(w):
+                w, v = np.linalg.eigh(_f(K, base))
+                minima.append(float(w[0]))
+                return minima, v[:, 0]
+            minima.append(float(w[0]))
+    return minima, None
 
 
 def _reciprocal(K: np.ndarray) -> HermitianMatrix:
@@ -92,7 +137,11 @@ def f_form(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> Hermitia
     consumers rather than raised.
     """
     K = _checked_for_base(_gram_array(sample_or_gram), base, tol)
-    return _symmetrized(_form(K, base))
+    n = K.shape[0]
+    F = _forms(K, np.array([base]), np.arange(n)[np.newaxis, :])[0]
+    F[base, :] = 0.0
+    F[:, base] = 0.0
+    return _symmetrized(F)
 
 
 def f_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -105,7 +154,7 @@ def f_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> Hermit
     K = _gram_array(sample_or_gram)
     if K.shape[0] < 2:
         raise DomainError("f_matrix needs a sample with at least 2 points")
-    return _f(_checked_for_base(K, base, tol), base)
+    return _symmetrized(_f(_checked_for_base(K, base, tol), base))
 
 
 def h_matrix(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -190,19 +239,17 @@ def certify_cnp(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> CnpCertificate
 
     # H accepted every block; cross-check the F test for every base index.
     for block, Kb in grams:
-        if len(block) < 2:
-            continue
-        for local_base in range(len(block)):
-            w, v = np.linalg.eigh(_f(Kb, local_base).a)
-            f_min_eigs.append((int(block[local_base]), float(w[0])))
-            if w[0] < tol.psd_floor(w):
-                return certificate(False, "f_matrix", {
-                    "kind": "f_matrix",
-                    "base": int(block[local_base]),
-                    "block": list(block),
-                    "min_eigenvalue": float(w[0]),
-                    "eigenvector": v[:, 0],
-                })
+        minima, eigenvector = _f_sweep(Kb, tol)
+        f_min_eigs.extend(zip(block, minima))
+        if eigenvector is not None:
+            base = block[len(minima) - 1]
+            return certificate(False, "f_matrix", {
+                "kind": "f_matrix",
+                "base": base,
+                "block": list(block),
+                "min_eigenvalue": minima[-1],
+                "eigenvector": eigenvector,
+            })
 
     return certificate(True, "h_inertia", {
         "kind": "h_inertia",

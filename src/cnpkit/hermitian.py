@@ -47,11 +47,10 @@ class HermitianMatrix:
     """Square complex matrix with conjugate symmetry enforced at construction.
 
     The raw input may carry floating-point asymmetry up to ``CONSTRUCTION_TOL``
-    relative to its magnitude; it is symmetrized as ``(A + A*) / 2`` and the
-    observed asymmetry is recorded in ``defect``.
+    relative to its magnitude; it is symmetrized as ``(A + A*) / 2``.
     """
 
-    __slots__ = ("a", "defect")
+    __slots__ = ("a",)
 
     def __init__(self, entries, *, construction_tol: float = CONSTRUCTION_TOL):
         a = np.array(entries, dtype=np.complex128)
@@ -70,14 +69,13 @@ class HermitianMatrix:
             )
         self.a = _hermitian_part(a)
         self.a.setflags(write=False)
-        self.defect = defect
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HermitianMatrix(dim={self.dim}, defect={self.defect:.2e})"
+        return f"HermitianMatrix(dim={self.dim})"
 
 
 def as_hermitian(x) -> HermitianMatrix:
@@ -93,7 +91,7 @@ def _symmetrized(a: np.ndarray) -> HermitianMatrix:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     h = HermitianMatrix.__new__(HermitianMatrix)
-    h.a, h.defect = _hermitian_part(a), 0.0
+    h.a = _hermitian_part(a)
     h.a.setflags(write=False)
     return h
 
@@ -116,13 +114,6 @@ class Inertia:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.n_pos, self.n_zero, self.n_neg)
-
-    def __add__(self, other: "Inertia") -> "Inertia":
-        return Inertia(
-            self.n_pos + other.n_pos,
-            self.n_zero + other.n_zero,
-            self.n_neg + other.n_neg,
-        )
 
 
 @dataclass(frozen=True)

@@ -82,8 +82,15 @@ class Kernel:
         return f"{type(self).__name__}()"
 
 
+def _scalar(p, kernel_name: str):
+    """``p``, refused when it is a coordinate array meant for the ball kernel."""
+    if isinstance(p, np.ndarray):
+        raise DomainError(f"{kernel_name} kernel needs a scalar point, got {p.size} coordinates")
+    return p
+
+
 def _disk_point(p, kernel_name: str) -> complex:
-    z = complex(p)
+    z = complex(_scalar(p, kernel_name))
     if abs(z) >= 1.0:
         raise DomainError(f"{kernel_name} kernel needs |z| < 1, got |z| = {abs(z):.6g}")
     return z
@@ -123,9 +130,11 @@ class Bergman(Kernel):
 class Dirichlet(Kernel):
     """Dirichlet-space kernel ``-log(1 - w) / w`` with ``w = conj(x) y``.
 
-    Evaluated as ``-log1p(-w) / w``. Below ``|w| = 1e-2`` the removable
-    singularity at 0 is handled by the power series ``sum w^p / (p + 1)``,
-    whose first eight terms reach double precision there.
+    Evaluated as ``-log1p(-w) / w``. numpy's complex ``log1p`` forms
+    ``|1 - w|`` and so loses relative accuracy like ``eps / |w|`` (1e-15 at
+    ``|w| = 0.2``); below ``|w| = 0.25`` the power series
+    ``sum w^p / (p + 1)`` is used instead, whose first 24 terms reach double
+    precision there and which covers the removable singularity at 0.
     """
 
     name = "dirichlet"
@@ -135,12 +144,15 @@ class Dirichlet(Kernel):
 
     def cross(self, xs, ys) -> np.ndarray:
         w = _disk_products(xs, ys)
-        near = np.abs(w) < 1e-2
-        series = np.zeros_like(w)
-        for p in range(7, -1, -1):
-            series = series * w + 1.0 / (p + 1)
-        far = np.where(near, 0.5, w)
-        return np.where(near, series, -np.log1p(-far) / far)
+        near = np.abs(w) < 0.25
+        out = np.empty_like(w)
+        wn, wf = w[near], w[~near]
+        series = np.zeros_like(wn)
+        for p in range(23, -1, -1):
+            series = series * wn + 1.0 / (p + 1)
+        out[near] = series
+        out[~near] = -np.log1p(-wf) / wf
+        return out
 
 
 class Sobolev(Kernel):
@@ -153,7 +165,7 @@ class Sobolev(Kernel):
     name = "sobolev"
 
     def coerce_point(self, p) -> float:
-        t = complex(p)
+        t = complex(_scalar(p, self.name))
         if abs(t.imag) > 0:
             raise DomainError(f"sobolev kernel needs a real point, got {p!r}")
         t = float(t.real)
@@ -219,7 +231,7 @@ class ExplicitGram(Kernel):
             raise ValueError("labels length must match matrix dimension")
 
     def coerce_point(self, p) -> int:
-        i = int(p)
+        i = int(_scalar(p, self.name))
         if not 0 <= i < self.matrix.dim:
             raise DomainError(f"gram index {i} out of range [0, {self.matrix.dim})")
         return i

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -40,8 +41,11 @@ def complex_to_json(z) -> list[float]:
 
 def _is_number(v) -> bool:
     # JSON true/false load as bool, a subclass of int that the exact type
-    # test leaves out; Python's json also accepts NaN and Infinity.
-    return type(v) in (int, float) and math.isfinite(v)
+    # test leaves out; Python's json also accepts NaN and Infinity, and
+    # integers too large to convert to a float.
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
 
 
 def complex_from_json(v) -> complex:

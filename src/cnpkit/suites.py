@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import _reciprocal, f_matrix
+from .certify import _f_sweep, _irreducible, _reciprocal
 from .hermitian import DEFAULT_TOL, Tolerances, inertia, is_psd
 from .interpolate import (
     PickProblem,
@@ -100,20 +100,13 @@ def certificate_equivalence_suite(
     true_count = 0
     disagreements = []
     for t in range(trials):
-        K = _random_gram(rng, t % 5)
+        K = _irreducible(_random_gram(rng, t % 5), tol)
         n = K.shape[0]
 
         h_verdict = inertia(_reciprocal(K), tol).n_pos == 1
-
-        f_verdict = True
-        worst = np.inf
-        for b in range(n):
-            F = f_matrix(K, b, tol)
-            wf = np.linalg.eigvalsh(F.a)
-            worst = min(worst, float(wf[0]))
-            if wf[0] < tol.psd_floor(wf):
-                f_verdict = False
-                break
+        minima, eigenvector = _f_sweep(K, tol)
+        f_verdict = eigenvector is None
+        worst = min(minima)
 
         if h_verdict == f_verdict:
             agreements += 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cnpkit.certify as certify_module
 from cnpkit import (
     Ball,
     Bergman,
@@ -12,6 +13,7 @@ from cnpkit import (
     ReducibleKernelError,
     Sobolev,
     Szego,
+    Tolerances,
     certify_cnp,
     f_form,
     f_matrix,
@@ -23,7 +25,7 @@ from cnpkit import (
     is_psd,
 )
 from conftest import random_disk_points
-from theory import hadamard, m_matrix, normalize_at, schur_complement
+from theory import hadamard, inertia_sum, m_matrix, normalize_at, schur_complement
 
 
 class TestFMatrix:
@@ -155,7 +157,7 @@ class TestMMatrix:
             comp = schur_complement(H_perm, 1, tol)
             np.testing.assert_allclose(comp.a, -m_matrix(s, b, tol).a, atol=1e-11)
             tail = inertia(H[np.ix_([b], [b])], tol)
-            assert inertia(H, tol) == inertia(comp, tol) + tail
+            assert inertia(H, tol) == inertia_sum(inertia(comp, tol), tail)
 
 
 class TestCertify:
@@ -247,6 +249,85 @@ class TestCertify:
                 d += np.sign(d.real) + 1e-3  # keep away from zero
                 Kp = np.outer(d.conj(), d) * K
                 assert certify_cnp(Kp, tol).verdict == certify_cnp(K, tol).verdict
+
+
+def _sample(kernel, rng, n):
+    if isinstance(kernel, Sobolev):
+        return gram(kernel, np.sort(rng.choice(np.linspace(0.0, 1.0, 4 * n), n, replace=False)))
+    if isinstance(kernel, Ball):
+        x = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        return gram(kernel, x / np.linalg.norm(x, axis=1, keepdims=True) * rng.uniform(0.05, 0.9, (n, 1)))
+    return gram(kernel, random_disk_points(rng, n, 0.9))
+
+
+def _direct_sum(*grams):
+    n = sum(len(G) for G in grams)
+    K = np.zeros((n, n), dtype=complex)
+    at = 0
+    for G in grams:
+        K[at : at + len(G), at : at + len(G)] = G
+        at += len(G)
+    return K
+
+
+class TestFSweep:
+    """The stacked, eigenvalue-only F sweep against one ``eigh`` per base."""
+
+    @pytest.fixture(params=["one-chunk", "3-bases-a-chunk"])
+    def chunks(self, request, monkeypatch):
+        """Whether the sweep solves each block at once or three bases at a time."""
+        if request.param == "3-bases-a-chunk":
+            monkeypatch.setattr(certify_module, "_SWEEP_BYTES", 3 * 16 * 39**2)
+
+    @staticmethod
+    def assert_minima_match_eigh(K, cert):
+        assert [b for b, _ in cert.f_min_eigs] == [i for block in cert.blocks for i in block]
+        for block in cert.blocks:
+            Kb = K[np.ix_(block, block)]
+            for local, b in enumerate(block):
+                w = np.linalg.eigh(f_matrix(Kb, local).a)[0]
+                got = dict(cert.f_min_eigs)[b]
+                assert abs(got - w[0]) <= 1e-12 * max(1.0, np.max(np.abs(w))), b
+
+    @pytest.mark.parametrize("kernel", [Szego(), Dirichlet(), Sobolev(), Ball(2)], ids=lambda k: k.name)
+    def test_minima_match_eigh_per_base(self, tol, kernel, chunks):
+        rng = np.random.default_rng(151)
+        s = _sample(kernel, rng, 40)
+        cert = certify_cnp(s, tol)
+        assert cert.verdict and len(cert.f_min_eigs) == 40
+        self.assert_minima_match_eigh(s.gram.a, cert)
+
+    def test_permuted_direct_sum_in_block_order(self, tol, chunks):
+        rng = np.random.default_rng(153)
+        K = _direct_sum(*(_sample(k, rng, n).gram.a for k, n in ((Szego(), 15), (Dirichlet(), 12), (Sobolev(), 13))))
+        perm = rng.permutation(len(K))
+        K = K[np.ix_(perm, perm)]
+        cert = certify_cnp(K, tol)
+        assert cert.verdict and len(cert.blocks) == 3
+        self.assert_minima_match_eigh(K, cert)
+
+    @pytest.mark.parametrize("certified_block", [0, 4], ids=["alone", "after-a-certified-block"])
+    def test_f_failure_witness(self, certified_block):
+        # A zero threshold of 0.3 of the spectral radius hides the Bergman H
+        # matrix's second positive eigenvalue, so only the F sweep refutes.
+        tol = Tolerances(zero_eig_rel=0.3)
+        rng = np.random.default_rng(157)
+        for _ in range(25):
+            grams = [gram(Bergman(), random_disk_points(rng, int(rng.integers(3, 7)), 0.8)).gram.a]
+            if certified_block:
+                grams.insert(0, gram(Szego(), random_disk_points(rng, certified_block, 0.8)).gram.a)
+            K = _direct_sum(*grams)
+            cert = certify_cnp(K, tol)
+            assert not cert.verdict and cert.method == "f_matrix"
+            wit = cert.witness
+            block = wit["block"]
+            F = f_matrix(K[np.ix_(block, block)], block.index(wit["base"]), tol).a
+            v, lam = wit["eigenvector"], wit["min_eigenvalue"]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert np.linalg.norm(F @ v - lam * v) <= 1e-12
+            assert cert.f_min_eigs[-1] == (wit["base"], lam)
+            # the sweep stops at the failing base
+            assert [b for b, _ in cert.f_min_eigs] == list(range(wit["base"] + 1))
 
 
 class TestNecessityReduction:

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exit codes, report schemas, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cnpkit.cli import main
 
@@ -319,6 +324,13 @@ SZEGO_PROBLEM = {
     "sample": {"kernel": {"type": "szego"}, "points": [[0, 0], [0.5, 0]]},
     "targets": {"scalar": [[0, 0], [0.25, 0]]},
 }
+BALL_POINTS = {"kernel": {"type": "ball", "m": 2}, "points": [[[0.1, 0], [0.2, 0]], [[0, 0.3], [0.1, 0]]]}
+GRAM_POINTS = {
+    "type": "gram",
+    "matrix": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]],
+    "labels": ["a", "b"],
+    "points": [0, 1],
+}
 MATRIX_TARGETS = {"mu": 1, "nu": 2, "data": [[[[0.1, 0], [0.2, 0]]], [[[0.1, 0], [0.0, 0]]]]}
 
 
@@ -356,6 +368,15 @@ class TestMalformedInput:
         ("gram-labels-not-a-list", "certify", {"type": "gram", "matrix": [[[1, 0]]], "labels": 0}, None),
         ("scalar-targets-not-a-list", "interpolate",
          {**SZEGO_PROBLEM, "targets": {"scalar": 0.5}}, None),
+        ("integer-beyond-float-range", "certify",
+         {"kernel": {"type": "szego"}, "points": [[10**400, 0], [0.5, 0]]}, None),
+        *[
+            (f"ball-point-under-{kind}", "certify",
+             {**BALL_POINTS, "kernel": {"type": kind}}, None)
+            for kind in ("szego", "sobolev")
+        ],
+        ("ball-point-as-gram-index", "certify",
+         {"kernel": GRAM_POINTS, "points": [[[0, 0], [1, 0]]]}, None),
     ]
 
     @pytest.mark.parametrize("name, command, doc, eval_doc", CASES, ids=[c[0] for c in CASES])
@@ -373,3 +394,77 @@ class TestMalformedInput:
         assert main(["certify", "--points", szego_points_file, "--output", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("cnpkit: error:") and "Traceback" not in err
+
+
+# (command, points or problem document, evaluation document): one valid input each
+VALID_INPUTS = [
+    ("certify", {"kernel": {"type": "szego"}, "points": [[0, 0], [0.5, 0], [0, -0.4]]}, None),
+    ("certify", GRAM_POINTS, None),
+    ("embed", BALL_POINTS, None),
+    ("interpolate", SZEGO_PROBLEM, {"points": [[0.25, 0], [0, 0.1]]}),
+    ("extend", SZEGO_PROBLEM, [[0.25, 0]]),
+    ("extend", {**SZEGO_PROBLEM, "targets": {"matrix": MATRIX_TARGETS}}, [[0.25, 0]]),
+]
+SCALAR_JUNK = st.sampled_from(
+    [True, False, None, float("nan"), float("inf"), 10**400, -(2**70), 1e308, -1, 0, 7, ""]
+    + ["szego", "sobolev", "ball", "gram"]  # kernel types swapped under another kernel's points
+)
+JUNK = st.one_of(
+    SCALAR_JUNK,
+    st.recursive(SCALAR_JUNK, lambda inner: st.lists(inner, max_size=3), max_leaves=4),
+    st.dictionaries(st.sampled_from(["type", "points", "m", "scalar"]), SCALAR_JUNK, max_size=2),
+)
+
+
+def _slots(doc):
+    """Every (container, key) of a JSON tree, containers before their contents."""
+    out = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        out.append((doc, key))
+        out.extend(_slots(value))
+    return out
+
+
+def _mutated(doc, edits):
+    """``doc`` with each edit applied: drop a key or element, or set it to junk."""
+    doc = copy.deepcopy(doc)
+    for pick, drop, junk in edits:
+        slots = _slots(doc)
+        if not slots:
+            return junk
+        container, key = slots[pick % len(slots)]
+        if drop:
+            del container[key]
+        else:
+            container[key] = junk
+    return doc
+
+
+class TestParserFuzz:
+    """Mutations of valid inputs exit 0, 1 or 2, and 2 comes with a one-line error."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(
+        case=st.sampled_from(VALID_INPUTS),
+        in_eval=st.booleans(),
+        edits=st.lists(st.tuples(st.integers(0, 10**6), st.booleans(), JUNK), min_size=1, max_size=3),
+    )
+    def test_exit_status_contract(self, tmp_path_factory, case, in_eval, edits):
+        command, doc, eval_doc = case
+        if in_eval and eval_doc is not None:
+            eval_doc = _mutated(eval_doc, edits)
+        else:
+            doc = _mutated(doc, edits)
+        tmp = tmp_path_factory.getbasetemp()
+        flag = "--points" if command in ("certify", "embed") else "--problem"
+        argv = [command, flag, write(tmp / "fuzz-in.json", doc), "--output", str(tmp / "fuzz-r.json")]
+        if eval_doc is not None:
+            argv += ["--eval", write(tmp / "fuzz-eval.json", eval_doc)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("cnpkit: error:")

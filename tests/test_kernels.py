@@ -49,7 +49,7 @@ class TestEvaluate:
 
     def test_dirichlet_closed_form_to_the_boundary(self):
         # Gram entries against the closed form, from the series region
-        # |w| < 1e-2 out to |z| = 1 - 1e-6. Pairs with |w| < 1e-3 are left
+        # |w| < 0.25 out to |z| = 1 - 1e-6. Pairs with |w| < 1e-3 are left
         # out: there the closed form itself loses digits to cancellation.
         rng = np.random.default_rng(3)
         radii = np.concatenate(
@@ -67,6 +67,19 @@ class TestEvaluate:
                 assert abs(K[i, j] - expected) <= 1e-12 * abs(expected), (i, j, abs(w))
                 checked += 1
         assert checked > 0.9 * z.size**2
+
+    @pytest.mark.parametrize("modulus", [2e-3, 1.01e-2, 3e-2, 0.099, 0.1, 0.2, 0.2499, 0.25, 0.5])
+    def test_dirichlet_against_40_digits(self, modulus):
+        # both sides of the series cut-off |w| = 0.25; cross(1, w) is the
+        # kernel at the product w exactly
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        w = modulus * np.exp(2j * np.pi * np.arange(100) / 100)
+        got = Dirichlet().cross(np.ones(1), w)[0]
+        for wi, gi in zip(w, got):
+            z = mpmath.mpc(wi.real, wi.imag)
+            exact = -mpmath.log(1 - z) / z
+            assert abs(mpmath.mpc(gi.real, gi.imag) - exact) <= 1e-15 * abs(exact), wi
 
     def test_sobolev_corner_value(self):
         # coth(1), from the boundary-value derivation

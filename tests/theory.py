@@ -1,9 +1,10 @@
 """Theory oracles that only the tests use.
 
 Written apart from the kit's own formulas so that tests can compare the two:
-Schur products and complements, the entrywise reciprocal, the intermediate
-``m_matrix`` that ties the F test to the H test by congruence,
-normalization at a base point, and the Dirichlet kernel's closed form.
+Schur products and complements, the entrywise reciprocal, the inertia of a
+block-diagonal congruence, the intermediate ``m_matrix`` that ties the F
+test to the H test by congruence, normalization at a base point, and the
+Dirichlet kernel's closed form.
 """
 
 import cmath
@@ -15,6 +16,7 @@ from cnpkit import (
     DomainError,
     ExplicitGram,
     HermitianMatrix,
+    Inertia,
     ReducibleKernelError,
     SampleSet,
     SingularBlockError,
@@ -36,7 +38,7 @@ def schur_complement(A, tail_size: int, tol: Tolerances = DEFAULT_TOL) -> Hermit
 
     For ``A = [[H, B], [B*, C]]`` with ``C`` the trailing block, returns
     ``H - B C^{-1} B*``. ``A`` is congruent to ``diag(complement, C)``, so
-    inertia decomposes as ``inertia(A) = inertia(complement) + inertia(C)``.
+    inertia decomposes as ``inertia(A) = inertia_sum(inertia(complement), inertia(C))``.
     """
     h = as_hermitian(A)
     n = h.dim
@@ -53,6 +55,11 @@ def schur_complement(A, tail_size: int, tol: Tolerances = DEFAULT_TOL) -> Hermit
     B = h.a[:head, head:]
     comp = h.a[:head, :head] - B @ np.linalg.solve(C, B.conj().T)
     return HermitianMatrix((comp + comp.conj().T) / 2.0)
+
+
+def inertia_sum(*parts: Inertia) -> Inertia:
+    """Sign counts of a block-diagonal matrix: its blocks' counts added."""
+    return Inertia(*map(sum, zip(*(p.as_tuple() for p in parts))))
 
 
 def _check_nonzero(K: np.ndarray, tol: Tolerances) -> None:
