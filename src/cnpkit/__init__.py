@@ -21,7 +21,6 @@ from .errors import (
     InfeasibleExtensionError,
     NotPsdError,
     ReducibleKernelError,
-    SingularBlockError,
 )
 from .hermitian import (
     DEFAULT_TOL,
@@ -95,7 +94,6 @@ __all__ = [
     "PsdReport",
     "ReducibleKernelError",
     "SampleSet",
-    "SingularBlockError",
     "Sobolev",
     "SolvabilityReport",
     "Szego",

@@ -73,9 +73,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     output: str | None = None
     fmt: str = "json"
-    trials_certificate: int = 500
-    trials_norm_pick: int = 300
-    trials_vector: int = 100
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,9 +334,9 @@ def _cmd_extend(cfg: RunConfig):
 
 def _cmd_check_equivalences(cfg: RunConfig):
     tol = cfg.tolerances
-    c3 = certificate_equivalence_suite(cfg.trials_certificate, seed=cfg.seed, tol=tol)
-    npk = norm_pick_equivalence_suite(cfg.trials_norm_pick, seed=cfg.seed, tol=tol)
-    vec = vector_complete_suite(cfg.trials_vector, seed=cfg.seed, tol=tol)
+    c3 = certificate_equivalence_suite(seed=cfg.seed, tol=tol)
+    npk = norm_pick_equivalence_suite(seed=cfg.seed, tol=tol)
+    vec = vector_complete_suite(seed=cfg.seed, tol=tol)
     ok = c3.ok and npk.ok and not vec.failures
     report = {
         "all_passed": ok,

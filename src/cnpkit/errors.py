@@ -24,10 +24,6 @@ class ReducibleKernelError(CnpkitError):
         self.index = index
 
 
-class SingularBlockError(CnpkitError):
-    """A matrix block that must be inverted is numerically singular."""
-
-
 class NotPsdError(CnpkitError):
     """A matrix required to be positive semidefinite is not, beyond tolerance.
 

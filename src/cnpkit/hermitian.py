@@ -39,8 +39,14 @@ CONSTRUCTION_TOL = 1e-12
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(A + A*) / 2``: the nearest Hermitian matrix, exactly conjugate-symmetric."""
-    return (a + a.conj().T) / 2.0
+    """``(A + A*) / 2``: the nearest Hermitian matrix, exactly conjugate-symmetric.
+
+    Halved before the sum, which is exact in the normal range and cannot
+    overflow for finite entries.
+    """
+    h = a * 0.5
+    h += h.conj().T
+    return h
 
 
 class HermitianMatrix:

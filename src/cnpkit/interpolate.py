@@ -1,29 +1,28 @@
 """Pick matrices, multiplication-operator norms, and one-point extensions.
 
-Scalar interpolation data ``(x_i -> lambda_i)`` on a sample is feasible for
-a norm-one multiplier exactly when the Pick matrix
-``(1 - lambda_j conj(lambda_i)) k(x_i, x_j)`` is PSD (necessary always;
-sufficient once the kernel is certified complete Nevanlinna-Pick on the
-sample). Matrix data ``(x_i -> Lambda_i)`` with mu-by-nu targets uses the
-block Pick matrix whose (i, j) block is
+Data ``(x_i -> Lambda_i)`` with mu-by-nu targets is feasible for a norm-one
+multiplier exactly when the block Pick matrix whose (i, j) block is
 
-    k(x_i, x_j) * (I_mu - conj(Lambda_i) Lambda_j^T),
+    k(x_i, x_j) * (I_mu - conj(Lambda_i) Lambda_j^T)
 
-the orientation fixed by two construction-time assertions: the assembled
-matrix is Hermitian and reduces entrywise to the scalar Pick matrix at
-mu = nu = 1. With this orientation the block Pick matrix is PSD exactly
-when the diagonal representation operator
-``k_i (x) e -> k_i (x) Lambda_i^* e`` is a contraction, which is also how
-``rep_operator_norm`` computes the norm (a generalized eigenproblem against
-the Gram of the non-orthonormal kernel-function basis).
+is PSD (necessary always; sufficient once the kernel is certified complete
+Nevanlinna-Pick on the sample). Scalar data ``(x_i -> lambda_i)`` is the
+1x1 case, targets of shape (n, 1, 1), where the formula reads
+``(1 - conj(lambda_i) lambda_j) k(x_i, x_j)``; every Pick quantity comes
+from this one formula. The block Pick matrix is PSD exactly when the
+diagonal representation operator ``k_i (x) e -> k_i (x) Lambda_i^* e`` is a
+contraction, which is also how ``rep_operator_norm`` computes the norm (a
+generalized eigenproblem against the Gram of the non-orthonormal
+kernel-function basis).
 
 One-point extension: appending an unknown target at a new point keeps the
-extended Pick matrix PSD on a closed disk of targets (scalar) or a matrix
-ball ``center + L^{1/2} C R^{1/2}``, ``||C|| <= 1`` (matrix), obtained from
-the Schur complement of the extended matrix with respect to the leading
-block; both may degenerate to a single point. Singular leading blocks are
-handled by restricting to their numerical range, with the leftover linear
-constraint pinning (part of) the target.
+extended Pick matrix PSD on a matrix ball ``center + L^{1/2} C R^{1/2}``,
+``||C|| <= 1``, obtained from the Schur complement of the extended matrix
+with respect to the leading block; the scalar disk is its 1x1 case, with
+radius ``sqrt(L R)``. Singular leading blocks are handled by restricting to
+their numerical range, with the leftover linear constraint pinning (part
+of) the target. One check decides feasibility: the Schur complement at the
+returned center must be PSD within tolerance.
 """
 
 from __future__ import annotations
@@ -109,45 +108,42 @@ class PickProblem:
         return 1 if self.is_scalar else self.targets.shape[2]
 
 
-def _scalar_pick(K: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return (1.0 - np.outer(lam.conj(), lam)) * K
+def _blocks(p: PickProblem) -> np.ndarray:
+    """The targets as an (n, mu, nu) stack: scalar data is the 1x1 case."""
+    return p.targets.reshape(p.sample.n, p.mu, p.nu)
+
+
+def _target_products(targets: np.ndarray) -> np.ndarray:
+    """``prod[i, :, j, :] = conj(Lambda_i) Lambda_j^T`` for an (n, mu, nu) stack."""
+    return np.einsum("iac,jbc->iajb", targets.conj(), targets)
+
+
+def _block_pick(K: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    n, mu, _ = targets.shape
+    prod = _target_products(targets)
+    eye = np.zeros_like(prod)
+    eye[:, np.arange(mu), :, np.arange(mu)] = 1.0
+    return (K[:, None, :, None] * (eye - prod)).reshape(n * mu, n * mu)
 
 
 def pick_matrix_scalar(p: PickProblem) -> HermitianMatrix:
     """Pick matrix ``(1 - lambda_j conj(lambda_i)) k(x_i, x_j)``."""
     if not p.is_scalar:
         raise DomainError("pick_matrix_scalar needs scalar targets")
-    return _symmetrized(_scalar_pick(p.sample.gram.a, p.targets))
-
-
-def _block_pick(K: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    n, mu, _ = targets.shape
-    W = targets.conj()
-    # blocks[i, :, j, :] = K[i, j] * (I - W_i W_j^H)
-    prod = np.einsum("iac,jbc->iajb", W, W.conj())
-    eye = np.zeros_like(prod)
-    eye[:, np.arange(mu), :, np.arange(mu)] = 1.0
-    blocks = K[:, None, :, None] * (eye - prod)
-    return blocks.reshape(n * mu, n * mu)
+    return _symmetrized(_block_pick(p.sample.gram.a, _blocks(p)))
 
 
 def pick_matrix_block(p: PickProblem) -> HermitianMatrix:
     """Block Pick matrix for matrix-valued targets (n*mu square).
 
-    Reduces entrywise to ``pick_matrix_scalar`` at mu = nu = 1; both this and
-    Hermiticity are asserted at construction.
+    Hermiticity is asserted at construction.
     """
     if p.is_scalar:
         raise DomainError("pick_matrix_block needs matrix targets")
-    K = p.sample.gram.a
-    P = _block_pick(K, p.targets)
+    P = _block_pick(p.sample.gram.a, p.targets)
     scale = max(1.0, float(np.max(np.abs(P))))
     if np.max(np.abs(P - P.conj().T)) > 1e-12 * scale:
         raise AssertionError("block Pick matrix lost Hermiticity")
-    if p.mu == 1 and p.nu == 1:
-        ref = _scalar_pick(K, p.targets[:, 0, 0])
-        if np.max(np.abs(P - ref)) > 1e-12 * scale:
-            raise AssertionError("block Pick matrix does not reduce to scalar case")
     return _symmetrized(P)
 
 
@@ -161,16 +157,9 @@ def rep_operator_norm(p: PickProblem, tol: Tolerances = DEFAULT_TOL) -> float:
     pencil is solved on its range.
     """
     K = p.sample.gram.a
-    if p.is_scalar:
-        lam = p.targets
-        S = np.outer(lam.conj(), lam) * K
-        G = K
-    else:
-        W = p.targets.conj()
-        S = (K[:, None, :, None] * np.einsum("iac,jbc->iajb", W, W.conj())).reshape(
-            p.sample.n * p.mu, p.sample.n * p.mu
-        )
-        G = np.kron(K, np.eye(p.mu))
+    size = p.sample.n * p.mu
+    S = (K[:, None, :, None] * _target_products(_blocks(p))).reshape(size, size)
+    G = np.kron(K, np.eye(p.mu))
     wg, vg = np.linalg.eigh(_hermitian_part(G))
     keep = wg > tol.zero_threshold(wg)
     if not np.all(keep):
@@ -278,124 +267,33 @@ def _range_split(P: np.ndarray, tol: Tolerances):
     return w[keep], V[:, keep], V[:, ~keep], -floor
 
 
-def _scalar_disk(K_ext: np.ndarray, lam: np.ndarray, tol: Tolerances):
-    """Feasible-target disk for the extended scalar Pick matrix.
-
-    The Schur complement of the leading block is the real quadratic
-    ``s(t) = (kzz - e) + 2 Re(t conj(b)) - |t|^2 (kzz + a)`` whose
-    nonnegativity region is the disk ``|t - b/(kzz+a)|^2 <= r^2``. On a
-    singular leading block the range constraint either leaves the disk
-    unchanged or pins the target to a single least-squares point.
-    """
-    n = len(lam)
-    kzz = float(K_ext[n, n].real)
-    if n == 0:
-        return complex(0.0), 1.0
-    K = K_ext[:n, :n]
-    u = K_ext[:n, n]
-    P = _hermitian_part(_scalar_pick(K, lam))
-    wk, Vr, Vp, slack = _range_split(P, tol)
-    v = lam.conj() * u
-    ur, vr = Vr.conj().T @ u, Vr.conj().T @ v
-    e = float(np.sum(np.abs(ur) ** 2 / wk))
-    a = float(np.sum(np.abs(vr) ** 2 / wk))
-    b = complex(np.sum(vr.conj() * ur / wk))
-    denom = kzz + a
-    center = b / denom
-    rad2 = (kzz - e) / denom + abs(b) ** 2 / denom**2
-
-    uc, vc = Vp.conj().T @ u, Vp.conj().T @ v
-    cut = np.sqrt(slack * max(1.0, kzz))
-    nu_perp, nv_perp = float(np.linalg.norm(uc)), float(np.linalg.norm(vc))
-    if nv_perp <= cut:
-        if nu_perp > cut:
-            raise InfeasibleExtensionError(
-                "new kernel column leaves the range of the Pick matrix; no "
-                "target is feasible",
-                witness={"residual": nu_perp},
-            )
-        if denom * rad2 < -slack:
-            raise InfeasibleExtensionError(
-                "extension disk is empty beyond tolerance - a complete "
-                "Nevanlinna-Pick violation witness",
-                witness={"schur_max": denom * rad2, "slack": slack},
-            )
-        return center, float(np.sqrt(max(rad2, 0.0)))
-
-    # Singular leading block with an active range constraint: the target is
-    # pinned to the least-squares solution of u_perp - t * v_perp = 0.
-    pin = complex(np.vdot(vc, uc) / np.vdot(vc, vc))
-    resid = float(np.linalg.norm(uc - pin * vc))
-    if resid > cut:
-        raise InfeasibleExtensionError(
-            "range constraint of the singular Pick block is unsatisfiable",
-            witness={"residual": resid},
-        )
-    s_at_pin = denom * (rad2 - abs(pin - center) ** 2)
-    if s_at_pin < -slack:
-        raise InfeasibleExtensionError(
-            "pinned target violates the Schur-complement constraint",
-            witness={"pinned": [pin.real, pin.imag], "schur_value": s_at_pin},
-        )
-    return pin, 0.0
-
-
-def extend_one_point_scalar(
-    p, new_point, tol: Tolerances = DEFAULT_TOL
-) -> ExtensionDisk:
-    """Disk of feasible targets at a new point for scalar data.
-
-    ``p`` is a solvable scalar ``PickProblem``, or a bare ``Kernel`` for
-    empty data (then the answer is the closed unit disk). The center is
-    verified feasible by re-assembling the extended Pick matrix; emptiness
-    beyond tolerance raises ``InfeasibleExtensionError`` and refutes the
-    complete Nevanlinna-Pick property of the kernel.
-    """
-    kernel, pts, lam = _problem_data(p)
-    if not isinstance(p, Kernel) and not p.is_scalar:
-        raise DomainError("extend_one_point_scalar needs scalar targets")
-    K_ext, _ = _extended_gram(kernel, pts, new_point, tol)
-    lam = np.asarray(lam, dtype=complex)
-    center, radius = _scalar_disk(K_ext, lam, tol)
-    lam_ext = np.append(lam, center)
-    rep = is_psd(_symmetrized(_scalar_pick(K_ext, lam_ext)), tol)
-    if not rep.ok:
-        raise InfeasibleExtensionError(
-            "disk center failed post-hoc PSD verification",
-            witness={"min_eigenvalue": rep.min_eigenvalue},
-        )
-    return ExtensionDisk(center=center, radius=radius)
-
-
-def extend_one_point_matrix(
-    p: PickProblem, new_point, tol: Tolerances = DEFAULT_TOL
-) -> MatrixBall:
-    """Matrix ball of feasible targets at a new point for matrix data.
+def _schur_extension(K_ext: np.ndarray, targets: np.ndarray, tol: Tolerances):
+    """Feasible targets at the last point of ``K_ext`` for (n, mu, nu) targets.
 
     Works in conjugated coordinates ``W_i = conj(Lambda_i)`` where the block
     Pick matrix has the textbook form; the Schur complement of the extended
-    matrix is the quadratic matrix inequality
+    matrix with respect to its leading block is the mu-by-mu value
 
-        (kzz I - E) + W B + B^* W^* - W (kzz I + A) W^*  >=  0,
+        S(W) = (kzz I - E) + W B + B^* W^* - W (kzz I + A) W^*,
 
-    and completing the square gives center ``B^* T^{-1}`` (``T = kzz I + A``)
-    with left radius factor ``kzz I - E + B^* T^{-1} B`` and right factor
-    ``T^{-1}``. The returned ball is expressed back in target coordinates.
-    The center is always verified feasible post hoc.
+    and completing the square writes it as ``RL - (W - W0) T (W - W0)^*``
+    with ``T = kzz I + A``, center ``W0 = B^* T^{-1}`` and
+    ``RL = kzz I - E + W0 B``: the ball has left factor ``RL`` and right
+    factor ``T^{-1}``. A singular leading block adds the constraint
+    ``Uc = Vc W^*`` on its null space: the singular values of ``Vc`` above
+    the range cut pin those target directions, and the rest of ``Uc`` must
+    vanish. The one feasibility check is ``S >= -slack`` at the returned
+    center, whose PSD part is the left factor (``RL`` when nothing is
+    pinned). Returns center, left and right factor in target coordinates;
+    both factors are zero when every direction is pinned.
     """
-    if p.is_scalar:
-        raise DomainError("extend_one_point_matrix needs matrix targets")
-    kernel, pts, _ = _problem_data(p)
-    n, mu, nu = p.sample.n, p.mu, p.nu
-    K_ext, q = _extended_gram(kernel, pts, new_point, tol)
+    n, mu, nu = targets.shape
     kcol = K_ext[:n, n]
     kzz = float(K_ext[n, n].real)
-
-    Q = pick_matrix_block(p).a
-    Wt = p.targets.conj()
     U = np.kron(kcol.reshape(n, 1), np.eye(mu))
-    V = (kcol[:, None, None] * Wt).reshape(n * mu, nu)
+    V = (kcol[:, None, None] * targets.conj()).reshape(n * mu, nu)
 
+    Q = _hermitian_part(_block_pick(K_ext[:n, :n], targets))
     wk, Vr, Vp, slack = _range_split(Q, tol)
     Ur, Vrng = Vr.conj().T @ U, Vr.conj().T @ V
     E = Ur.conj().T @ (Ur / wk[:, None])
@@ -404,57 +302,96 @@ def extend_one_point_matrix(
     T = kzz * np.eye(nu) + _hermitian_part(A)
     W0 = np.linalg.solve(T, B).conj().T
     RL = _hermitian_part(kzz * np.eye(mu) - E + W0 @ B)
-
-    wl, Vl = np.linalg.eigh(RL)
-    if wl[0] < -slack:
-        raise InfeasibleExtensionError(
-            "matrix extension ball is empty beyond tolerance - a complete "
-            "Nevanlinna-Pick violation witness",
-            witness={"left_factor_min_eigenvalue": float(wl[0])},
-        )
-    RL_psd = (Vl * np.maximum(wl, 0.0)) @ Vl.conj().T
     wt, Vt = np.linalg.eigh(T)
-    T_inv = (Vt / wt) @ Vt.conj().T
+    right = (Vt / wt) @ Vt.conj().T
 
     Uc, Vc = Vp.conj().T @ U, Vp.conj().T @ V
     cut = np.sqrt(slack * max(1.0, kzz))
-    right = T_inv
-    center_W = W0
-    if max(np.linalg.norm(Uc), np.linalg.norm(Vc)) > cut:
-        # Null-space constraint Uc = Vc W^*: least-squares pin, then keep the
-        # free directions (if any) aligned with the unconstrained center.
-        Wstar, _, rank, _ = np.linalg.lstsq(Vc, Uc, rcond=None)
-        resid = float(np.linalg.norm(Vc @ Wstar - Uc))
-        if resid > cut:
-            raise InfeasibleExtensionError(
-                "range constraint of the singular block Pick matrix is "
-                "unsatisfiable",
-                witness={"residual": resid},
-            )
-        if rank >= nu:
-            center_W = Wstar.conj().T
-            RL_psd = np.zeros((mu, mu))
-            right = np.zeros((nu, nu))
-        else:
-            Ppin = np.linalg.pinv(Vc) @ Vc
-            free = np.eye(nu) - Ppin
-            center_W = (Wstar + free @ W0.conj().T).conj().T
-            right = _hermitian_part(free @ T_inv @ free.conj().T)
+    Y, s, Zh = np.linalg.svd(Vc, full_matrices=False)
+    r = int(np.sum(s > cut))
+    Y, Zh = Y[:, :r], Zh[:r]
+    coef = Y.conj().T @ Uc
+    resid = float(np.linalg.norm(Uc - Y @ coef))
+    if resid > cut:
+        raise InfeasibleExtensionError(
+            "new kernel column leaves the range of the singular Pick matrix; "
+            "no target is feasible",
+            witness={"residual": resid},
+        )
+    center = W0
+    if r:
+        # Pin W^* on the rows of Zh; keep the unconstrained center elsewhere.
+        free = np.eye(nu) - Zh.conj().T @ Zh if r < nu else np.zeros((nu, nu))
+        center = (Zh.conj().T @ (coef / s[:r, None]) + free @ W0.conj().T).conj().T
+        right = _hermitian_part(free @ right @ free.conj().T)
+    D = center - W0
+    ws, Vs = np.linalg.eigh(_hermitian_part(RL - D @ T @ D.conj().T))
+    if ws[0] < -slack:
+        raise InfeasibleExtensionError(
+            "Schur complement at the extension center is not PSD beyond "
+            "tolerance - a complete Nevanlinna-Pick violation witness",
+            witness={
+                "schur_min_eigenvalue": float(ws[0]),
+                "slack": slack,
+                "center": center.conj(),
+            },
+        )
+    left = np.zeros((mu, mu)) if r == nu else (Vs * np.maximum(ws, 0.0)) @ Vs.conj().T
+    return center.conj(), left.conj(), right.conj()
 
-    center = center_W.conj()
-    ext_targets = np.concatenate([p.targets, center[np.newaxis]], axis=0)
-    P_ext = _symmetrized(_block_pick(K_ext, ext_targets))
-    rep = is_psd(P_ext, tol)
+
+def _verified_extension(K_ext: np.ndarray, targets: np.ndarray, tol: Tolerances):
+    """``_schur_extension`` with its center checked on the extended Pick matrix."""
+    center, left, right = _schur_extension(K_ext, targets, tol)
+    ext = np.concatenate([targets, center[np.newaxis]], axis=0)
+    rep = is_psd(_symmetrized(_block_pick(K_ext, ext)), tol)
     if not rep.ok:
         raise InfeasibleExtensionError(
-            "ball center failed post-hoc PSD verification",
+            "extension center failed post-hoc PSD verification",
             witness={"min_eigenvalue": rep.min_eigenvalue},
         )
-    return MatrixBall(
-        center=center,
-        left_factor=RL_psd.conj(),
-        right_factor=right.conj(),
+    return center, left, right
+
+
+def extend_one_point_scalar(
+    p, new_point, tol: Tolerances = DEFAULT_TOL
+) -> ExtensionDisk:
+    """Disk of feasible targets at a new point for scalar data.
+
+    ``p`` is a solvable scalar ``PickProblem``, or a bare ``Kernel`` for
+    empty data (then the answer is the closed unit disk). The disk is the
+    1x1 case of the matrix ball: center ``C[0, 0]`` and radius
+    ``sqrt(L[0, 0] R[0, 0])``. The center is verified feasible by
+    re-assembling the extended Pick matrix; emptiness beyond tolerance
+    raises ``InfeasibleExtensionError`` and refutes the complete
+    Nevanlinna-Pick property of the kernel.
+    """
+    kernel, pts, lam = _problem_data(p)
+    if not isinstance(p, Kernel) and not p.is_scalar:
+        raise DomainError("extend_one_point_scalar needs scalar targets")
+    K_ext, _ = _extended_gram(kernel, pts, new_point, tol)
+    targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
+    C, L, R = _verified_extension(K_ext, targets, tol)
+    return ExtensionDisk(
+        center=complex(C[0, 0]), radius=float(np.sqrt(L[0, 0].real * R[0, 0].real))
     )
+
+
+def extend_one_point_matrix(
+    p: PickProblem, new_point, tol: Tolerances = DEFAULT_TOL
+) -> MatrixBall:
+    """Matrix ball of feasible targets at a new point for matrix data.
+
+    The ball ``center + L^{1/2} C R^{1/2}`` comes from the Schur complement
+    of the extended block Pick matrix (see ``_schur_extension``); the center
+    is always verified feasible post hoc.
+    """
+    if p.is_scalar:
+        raise DomainError("extend_one_point_matrix needs matrix targets")
+    kernel, pts, _ = _problem_data(p)
+    K_ext, _ = _extended_gram(kernel, pts, new_point, tol)
+    center, left, right = _verified_extension(K_ext, p.targets, tol)
+    return MatrixBall(center=center, left_factor=left, right_factor=right)
 
 
 def evaluate_interpolant(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -478,7 +415,8 @@ def evaluate_interpolant(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.nd
     lam = list(lam)
     for q in coerced:
         K_ext, q = _extended_gram(kernel, pts, q, tol)
-        center, _ = _scalar_disk(K_ext, np.asarray(lam, dtype=complex), tol)
+        targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
+        center = complex(_schur_extension(K_ext, targets, tol)[0][0, 0])
         values.append(center)
         pts.append(q)
         lam.append(center)

@@ -38,11 +38,10 @@ from cnpkit import (
     vector_complete_suite,
 )
 from cnpkit.cli import main
-from cnpkit.interpolate import _scalar_pick
 from cnpkit.suites import certificate_equivalence_suite, norm_pick_equivalence_suite
 
 from conftest import FIXTURES, random_disk_points
-from theory import hadamard
+from theory import hadamard, pick_scalar
 
 TOL = Tolerances()
 SEED = 1729
@@ -218,7 +217,7 @@ def test_criterion_07_extension_disk_oracle():
             assert np.all((psd == inside) | annulus)
 
             lam_c = np.append(lam, disk.center)
-            Pc = _scalar_pick(K_ext, lam_c)
+            Pc = pick_scalar(K_ext, lam_c)
             assert np.linalg.eigvalsh((Pc + Pc.conj().T) / 2)[0] >= -1e-9
 
 

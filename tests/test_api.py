@@ -11,7 +11,7 @@ PUBLIC = {
     "Dirichlet", "DomainError", "EquivalenceReport", "ExplicitGram", "ExtensionDisk",
     "HermitianMatrix", "Inertia", "InfeasibleExtensionError", "Kernel", "MatrixBall",
     "NotPsdError", "Partition", "PickProblem", "PsdReport", "ReducibleKernelError",
-    "SampleSet", "SingularBlockError", "Sobolev", "SolvabilityReport", "Szego",
+    "SampleSet", "Sobolev", "SolvabilityReport", "Szego",
     "Tolerances", "VectorCompleteReport", "as_hermitian", "certificate_equivalence_suite",
     "certify_cnp", "evaluate_interpolant", "extend_one_point_matrix",
     "extend_one_point_scalar", "f_form", "f_matrix", "find_non_cnp_triple", "gram",
@@ -25,7 +25,7 @@ TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.p
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(cnpkit.__all__) == len(set(cnpkit.__all__)) == 53
+    assert len(cnpkit.__all__) == len(set(cnpkit.__all__)) == 52
     assert set(cnpkit.__all__) == PUBLIC
     for name in cnpkit.__all__:
         assert getattr(cnpkit, name) is not None

@@ -121,6 +121,15 @@ class TestPartitionCommand:
         assert report["blocks"] == [[0, 1], [2]]
 
 
+    def test_entries_near_the_float_limit(self, tmp_path):
+        # the 0.5 entry is zero on the scale max|K| = 1e308
+        doc = {"type": "gram", "matrix": [[[1e308, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]}
+        pts = write(tmp_path / "g.json", doc)
+        out = tmp_path / "r.json"
+        assert main(["partition", "--points", pts, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["blocks"] == [[0], [1]]
+
+
 class TestEmbedCommand:
     def test_embed_json(self, szego_points_file, tmp_path):
         out = tmp_path / "emb.json"
@@ -219,6 +228,33 @@ class TestExtendCommand:
         report = json.loads(out.read_text())
         assert report["feasible"] is False
         assert "witness" in report
+
+    @pytest.mark.parametrize(
+        "sample, targets, new_point",
+        [
+            # range: the new kernel column leaves the singular Pick matrix's range
+            ({"type": "gram", "matrix": [[[1, 0], [0.6, 0], [0.3, 0]],
+                                         [[0.6, 0], [1, 0], [0, 0]],
+                                         [[0.3, 0], [0, 0], [1, 0]]], "points": [0, 1]},
+             [[0, 0], [0.8, 0]], 2),
+            # empty disk at a Bergman point
+            ({"kernel": {"type": "bergman"}, "points": [[0.49, 0.04], [-0.62, 0.28]]},
+             [[-0.63, -0.55], [-0.31, 0.62]], [0.03, -0.34]),
+            # pinned target violates the Schur complement
+            ({"kernel": {"type": "bergman"}, "points": [[0, 0], [0.5, 0]]},
+             [[0, 0], [0.4375 ** 0.5, 0]], [0.3, 0]),
+        ],
+        ids=["range", "empty", "pinned"],
+    )
+    def test_each_infeasible_branch_exits_one(self, tmp_path, sample, targets, new_point):
+        prob = write(tmp_path / "prob.json", {"sample": sample, "targets": {"scalar": targets}})
+        evals = write(tmp_path / "new.json", [new_point])
+        out = tmp_path / "r.json"
+        code = main(["extend", "--problem", prob, "--eval", evals, "--output", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        assert report["feasible"] is False
+        assert "detail" in report["witness"]
 
     def test_matrix_ball(self, tmp_path):
         prob = write(

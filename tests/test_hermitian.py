@@ -1,5 +1,7 @@
 """Hermitian primitives against hand-computed values and brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from cnpkit import (
     Inertia,
     NotPsdError,
     ReducibleKernelError,
-    SingularBlockError,
     Tolerances,
     as_hermitian,
     gram_factor,
@@ -16,7 +17,13 @@ from cnpkit import (
     is_psd,
 )
 from conftest import random_hermitian, random_psd
-from theory import hadamard, inertia_sum, reciprocal_entrywise, schur_complement
+from theory import (
+    SingularBlockError,
+    hadamard,
+    inertia_sum,
+    reciprocal_entrywise,
+    schur_complement,
+)
 
 
 class TestConstruction:
@@ -24,6 +31,13 @@ class TestConstruction:
         a = np.array([[1.0, 1.0 + 1e-14j], [1.0, 2.0]])
         h = HermitianMatrix(a)
         assert np.array_equal(h.a, h.a.conj().T)
+
+    def test_entries_near_the_float_limit(self):
+        a = np.array([[1e308, 0.5], [0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = HermitianMatrix(a)
+        assert np.array_equal(h.a, a)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not Hermitian"):

@@ -6,6 +6,7 @@ import pytest
 from cnpkit import (
     Bergman,
     DomainError,
+    ExplicitGram,
     InfeasibleExtensionError,
     NotPsdError,
     PickProblem,
@@ -21,8 +22,9 @@ from cnpkit import (
     solvable,
     vector_vs_complete_check,
 )
-from cnpkit.interpolate import _block_pick, _scalar_pick
+from cnpkit.interpolate import _block_pick
 from conftest import random_disk_points
+from theory import pick_scalar
 
 
 def szego_sample(points):
@@ -43,7 +45,7 @@ def multiplier_targets(rng, points, mu, nu, margin=0.8):
 def extended_pick_min_eig(kernel, points, targets, new_point, value):
     K_ext = gram(kernel, list(points) + [new_point]).gram.a
     lam = np.append(np.asarray(targets, dtype=complex), value)
-    P = _scalar_pick(K_ext, lam)
+    P = pick_scalar(K_ext, lam)
     return np.linalg.eigvalsh((P + P.conj().T) / 2.0)[0]
 
 
@@ -303,6 +305,23 @@ class TestExtendMatrix:
             w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
             assert w[0] >= -1e-7 * max(1.0, np.max(np.abs(w)))
 
+    def test_partially_pinned_ball_is_feasible(self, tol):
+        # rows (z, 0) at 0 and 0.5: the Pick matrix is singular and pins the
+        # first coordinate at the new point; every member of the ball must
+        # keep the extended block Pick matrix PSD
+        s = szego_sample([0, 0.5])
+        targets = np.array([[[0, 0]], [[0.5, 0]]], dtype=complex)
+        ball = extend_one_point_matrix(PickProblem.matrix(s, targets), 0.3j, tol)
+        assert abs(ball.center[0, 0] - 0.3j) <= 1e-9
+        wr, Vr = np.linalg.eigh(ball.right_factor)
+        R12 = (Vr * np.sqrt(np.maximum(wr, 0))) @ Vr.conj().T
+        L12 = np.sqrt(max(ball.left_factor[0, 0].real, 0.0))
+        K_ext = gram(Szego(), [0, 0.5, 0.3j]).gram.a
+        for C in ([[1, 0]], [[0, 1]], [[0.6, 0.8j]]):
+            new = ball.center + L12 * np.array(C) @ R12
+            P = _block_pick(K_ext, np.concatenate([targets, new[None]], axis=0))
+            assert np.linalg.eigvalsh((P + P.conj().T) / 2.0)[0] >= -1e-9
+
     def test_ball_boundary_is_sharp(self, tol):
         rng = np.random.default_rng(101)
         pts = random_disk_points(rng, 3, 0.6)
@@ -319,6 +338,58 @@ class TestExtendMatrix:
         P = _block_pick(K_ext, ext)
         w = np.linalg.eigvalsh((P + P.conj().T) / 2.0)
         assert abs(w[0]) <= 1e-9 * max(1.0, np.max(np.abs(w)))
+
+
+# Data whose one-point extension is empty, one case per way it can fail:
+# (kernel, points, scalar targets, new point, witness key, witness value).
+INFEASIBLE = {
+    # singular Pick matrix [[1, .6], [.6, .36]] whose null space the new
+    # kernel column leaves
+    "range": (
+        ExplicitGram([[1, 0.6, 0.3], [0.6, 1, 0], [0.3, 0, 1]]),
+        [0, 1], [0, 0.8], 2, "residual", 0.1543,
+    ),
+    # Bergman data with a positive definite Pick matrix (minimum 0.175) and
+    # a negative Schur maximum at the new point
+    "empty": (
+        Bergman(),
+        [0.49 + 0.04j, -0.62 + 0.28j], [-0.63 - 0.55j, -0.31 + 0.62j], 0.03 - 0.34j,
+        "schur_min_eigenvalue", -1.97e-3,
+    ),
+    # singular Bergman Pick matrix: the range constraint pins the target to a
+    # value the Schur complement refuses
+    "pinned": (
+        Bergman(), [0, 0.5], [0, np.sqrt(0.4375)], 0.3, "schur_min_eigenvalue", -4.97e-3,
+    ),
+}
+
+
+class TestInfeasibleExtension:
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE))
+    def test_scalar_and_one_by_one_matrix_paths_refuse_alike(self, name, tol):
+        kernel, pts, lam, new, key, value = INFEASIBLE[name]
+        s = gram(kernel, pts)
+        problems = (
+            (extend_one_point_scalar, PickProblem.scalar(s, lam)),
+            (extend_one_point_matrix, PickProblem.matrix(s, np.reshape(lam, (-1, 1, 1)))),
+        )
+        witnesses = []
+        for extend, p in problems:
+            with pytest.raises(InfeasibleExtensionError) as exc:
+                extend(p, new, tol)
+            witnesses.append(exc.value.witness)
+        assert witnesses[0].keys() == witnesses[1].keys()
+        for w in witnesses:
+            assert w[key] == pytest.approx(value, rel=1e-3)
+
+    def test_pinned_two_by_two(self, tol):
+        t = np.sqrt(0.4375)
+        s = gram(Bergman(), [0, 0.5])
+        p = PickProblem.matrix(s, [np.zeros((2, 2)), np.diag([t, t])])
+        assert is_psd(pick_matrix_block(p), tol).min_eigenvalue == pytest.approx(0, abs=1e-12)
+        with pytest.raises(InfeasibleExtensionError) as exc:
+            extend_one_point_matrix(p, 0.3, tol)
+        assert exc.value.witness["schur_min_eigenvalue"] == pytest.approx(-4.97e-3, rel=1e-3)
 
 
 class TestEvaluateInterpolant:

@@ -3,8 +3,8 @@
 Written apart from the kit's own formulas so that tests can compare the two:
 Schur products and complements, the entrywise reciprocal, the inertia of a
 block-diagonal congruence, the intermediate ``m_matrix`` that ties the F
-test to the H test by congruence, normalization at a base point, and the
-Dirichlet kernel's closed form.
+test to the H test by congruence, normalization at a base point, the
+Dirichlet kernel's closed form, and the scalar Pick matrix entry by entry.
 """
 
 import cmath
@@ -13,16 +13,20 @@ import numpy as np
 
 from cnpkit import (
     DEFAULT_TOL,
+    CnpkitError,
     DomainError,
     ExplicitGram,
     HermitianMatrix,
     Inertia,
     ReducibleKernelError,
     SampleSet,
-    SingularBlockError,
     Tolerances,
     as_hermitian,
 )
+
+
+class SingularBlockError(CnpkitError):
+    """A matrix block that must be inverted is numerically singular."""
 
 
 def hadamard(A, B) -> HermitianMatrix:
@@ -128,3 +132,15 @@ def dirichlet_closed_form(w: complex) -> complex:
     """``-log(1 - w) / w``, with the removable value 1 at ``w = 0``."""
     w = complex(w)
     return 1.0 + 0j if w == 0 else -cmath.log(1.0 - w) / w
+
+
+def pick_scalar(K, lam) -> np.ndarray:
+    """Scalar Pick matrix ``P[i, j] = (1 - conj(lam_i) lam_j) K[i, j]``, entry by entry."""
+    K = np.asarray(K, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    n = len(lam)
+    P = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            P[i, j] = (1.0 - lam[i].conjugate() * lam[j]) * K[i, j]
+    return P
