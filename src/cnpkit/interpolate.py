@@ -42,7 +42,7 @@ from .hermitian import (
     _symmetrized,
     is_psd,
 )
-from .kernels import Kernel, SampleSet, _points_equal, gram
+from .kernels import Kernel, SampleSet, _first_equal_pair, _require_psd, gram
 
 __all__ = [
     "PickProblem",
@@ -245,12 +245,20 @@ def _problem_data(p) -> tuple[Kernel, list, list]:
     return p.sample.kernel, list(p.sample.points), list(p.targets)
 
 
-def _extended_gram(kernel: Kernel, pts: list, new_point, tol: Tolerances):
-    q = kernel.coerce_point(new_point)
-    for i, existing in enumerate(pts):
-        if _points_equal(existing, q):
-            raise DomainError(f"new point duplicates sample point {i}")
-    return gram(kernel, pts + [q], tol).gram.a, q
+def _extended_gram(kernel: Kernel, pts: list, new_points, tol: Tolerances) -> np.ndarray:
+    """Gram of ``pts`` then ``new_points`` from one ``gram`` call, held to the
+    PSD floor of its smallest prefix, ``pts`` plus one point: by Cauchy
+    interlacing every longer prefix then passes ``gram``'s check on its own."""
+    qs = [kernel.coerce_point(q) for q in new_points]
+    if pair := _first_equal_pair(qs):
+        raise DomainError(f"evaluation points {pair[0]} and {pair[1]} coincide")
+    if pair := _first_equal_pair(qs, pts):
+        raise DomainError(f"new point duplicates sample point {pair[1]}")
+    K = gram(kernel, pts + qs, tol).gram.a
+    m = len(pts) + 1
+    if K.shape[0] > m:
+        _require_psd(np.linalg.eigvalsh(K)[0], tol.psd_floor(np.linalg.eigvalsh(K[:m, :m])))
+    return K
 
 
 def _range_split(P: np.ndarray, tol: Tolerances):
@@ -369,7 +377,7 @@ def extend_one_point_scalar(
     kernel, pts, lam = _problem_data(p)
     if not isinstance(p, Kernel) and not p.is_scalar:
         raise DomainError("extend_one_point_scalar needs scalar targets")
-    K_ext, _ = _extended_gram(kernel, pts, new_point, tol)
+    K_ext = _extended_gram(kernel, pts, [new_point], tol)
     targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
     C, L, R = _verified_extension(K_ext, targets, tol)
     return ExtensionDisk(
@@ -389,7 +397,7 @@ def extend_one_point_matrix(
     if p.is_scalar:
         raise DomainError("extend_one_point_matrix needs matrix targets")
     kernel, pts, _ = _problem_data(p)
-    K_ext, _ = _extended_gram(kernel, pts, new_point, tol)
+    K_ext = _extended_gram(kernel, pts, [new_point], tol)
     center, left, right = _verified_extension(K_ext, p.targets, tol)
     return MatrixBall(center=center, left_factor=left, right_factor=right)
 
@@ -402,25 +410,21 @@ def evaluate_interpolant(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.nd
     next step, so every prefix of the extended problem stays solvable within
     tolerance. The center is the most-interior choice, which keeps later
     Schur complements well conditioned.
+
+    Cost: one Gram of data and evaluation points, assembled and validated
+    once; step k then eigensolves the Pick matrix on its ``n + k`` points.
     """
     kernel, pts, lam = _problem_data(p)
     if not isinstance(p, Kernel) and not p.is_scalar:
         raise DomainError("evaluate_interpolant needs scalar targets")
-    coerced = [kernel.coerce_point(q) for q in eval_points]
-    for i in range(len(coerced)):
-        for j in range(i + 1, len(coerced)):
-            if _points_equal(coerced[i], coerced[j]):
-                raise DomainError(f"evaluation points {i} and {j} coincide")
-    values = []
-    lam = list(lam)
-    for q in coerced:
-        K_ext, q = _extended_gram(kernel, pts, q, tol)
+    eval_points = list(eval_points)
+    if not eval_points:
+        return np.empty(0, dtype=complex)
+    K = _extended_gram(kernel, pts, eval_points, tol)
+    for m in range(len(pts) + 1, len(K) + 1):
         targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
-        center = complex(_schur_extension(K_ext, targets, tol)[0][0, 0])
-        values.append(center)
-        pts.append(q)
-        lam.append(center)
-    return np.asarray(values, dtype=complex)
+        lam.append(complex(_schur_extension(K[:m, :m], targets, tol)[0][0, 0]))
+    return np.asarray(lam[len(pts):], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -465,10 +469,7 @@ def vector_vs_complete_check(
     if n < 2:
         raise DomainError("vector_vs_complete_check needs at least 2 points")
     nu = n - 1
-    kernel = sample.kernel
-    data_points = list(sample.points[:-1])
-    ext_point = sample.points[-1]
-    data_sample = gram(kernel, data_points, tol)
+    K = gram(sample.kernel, sample.points, tol).gram.a
 
     rng = np.random.default_rng(seed)
     rejected = 0
@@ -487,14 +488,13 @@ def vector_vs_complete_check(
             w = w / max(np.linalg.norm(w), 1e-12) * rng.uniform(0.0, 0.95)
             rows.append(w.reshape(1, nu))
         rows = np.asarray(rows)
-        p_row = PickProblem.matrix(data_sample, rows)
-        if not is_psd(pick_matrix_block(p_row), tol).ok:
+        if not is_psd(_symmetrized(_block_pick(K[:-1, :-1], rows)), tol).ok:
             rejected += 1
             continue
         t = row_feasible
         row_feasible += 1
         try:
-            extend_one_point_matrix(p_row, ext_point, tol)
+            _verified_extension(K, rows, tol)
             row_ext_ok += 1
         except InfeasibleExtensionError as exc:
             failures.append(
@@ -502,12 +502,9 @@ def vector_vs_complete_check(
             )
             continue
         for m in mu_values:
-            stacked = np.concatenate(
-                [rows, np.zeros((n - 1, m - 1, nu))], axis=1
-            )
-            p_mat = PickProblem.matrix(data_sample, stacked)
+            stacked = np.concatenate([rows, np.zeros((n - 1, m - 1, nu))], axis=1)
             try:
-                extend_one_point_matrix(p_mat, ext_point, tol)
+                _verified_extension(K, stacked, tol)
                 mat_ok[m] += 1
             except InfeasibleExtensionError as exc:
                 failures.append(

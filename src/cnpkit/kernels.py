@@ -307,10 +307,15 @@ def _fmt_point(p) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
 
-def _points_equal(p, q) -> bool:
-    if isinstance(p, np.ndarray) or isinstance(q, np.ndarray):
-        return np.array_equal(np.asarray(p), np.asarray(q))
-    return p == q
+def _first_equal_pair(xs, ys=None) -> tuple[int, int] | None:
+    """Lexicographically first ``(i, j)`` with ``xs[i] == ys[j]``; no ``ys``: ``i < j``."""
+    a = np.asarray(xs)
+    b = a if ys is None else np.asarray(ys).reshape((-1,) + a.shape[1:])
+    eq = np.all(a[:, None] == b[None], axis=tuple(range(2, a.ndim + 1)))  # ball: every coordinate
+    if ys is None:
+        np.fill_diagonal(eq, False)  # eq is symmetric: its first hit has i < j
+    hits = np.flatnonzero(eq)
+    return divmod(int(hits[0]), eq.shape[1]) if hits.size else None
 
 
 def gram(kernel: Kernel, points, tol: Tolerances = DEFAULT_TOL) -> SampleSet:
@@ -323,20 +328,18 @@ def gram(kernel: Kernel, points, tol: Tolerances = DEFAULT_TOL) -> SampleSet:
     pts = [kernel.coerce_point(p) for p in points]
     if not pts:
         raise DomainError("a sample needs at least one point")
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if _points_equal(pts[i], pts[j]):
-                raise DomainError(f"duplicate points at positions {i} and {j}")
-    K = kernel.gram_matrix(pts)
-    h = as_hermitian(K)
+    if pair := _first_equal_pair(pts):
+        raise DomainError(f"duplicate points at positions {pair[0]} and {pair[1]}")
+    h = as_hermitian(kernel.gram_matrix(pts))
     w = np.linalg.eigvalsh(h.a)
-    floor = tol.psd_floor(w)
-    if w[0] < floor:
-        raise DomainError(
-            f"Gram matrix is not positive definite within tolerance: "
-            f"min eigenvalue {w[0]:.6e} < {floor:.3e}"
-        )
+    _require_psd(w[0], tol.psd_floor(w))
     return SampleSet(kernel=kernel, points=tuple(pts), gram=h)
+
+
+def _require_psd(min_eigenvalue: float, floor: float) -> None:
+    if min_eigenvalue < floor:
+        raise DomainError(f"Gram matrix is not positive definite within tolerance: "
+                          f"min eigenvalue {min_eigenvalue:.6e} < {floor:.3e}")
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,16 @@ class TestInterpolateCommand:
         assert abs(vals[0] - 0.25) < 1e-8
         assert abs(vals[1] - (-0.3 + 0.1j)) < 1e-8
 
+    def test_empty_evaluation_list(self, phi_problem_file, tmp_path):
+        evals = write(tmp_path / "evals.json", {"points": []})
+        out = tmp_path / "r.json"
+        code = main(
+            ["interpolate", "--problem", phi_problem_file, "--eval", evals, "--output", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["values"] == [] and report["eval_points"] == []
+
     def test_unsolvable_exits_one(self, tmp_path):
         prob = write(
             tmp_path / "prob.json",

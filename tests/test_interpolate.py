@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import cnpkit.interpolate
 from cnpkit import (
+    Ball,
     Bergman,
+    Dirichlet,
     DomainError,
     ExplicitGram,
     InfeasibleExtensionError,
     NotPsdError,
     PickProblem,
+    Sobolev,
     Szego,
     evaluate_interpolant,
     extend_one_point_matrix,
@@ -24,7 +28,7 @@ from cnpkit import (
 )
 from cnpkit.interpolate import _block_pick
 from conftest import random_disk_points
-from theory import pick_scalar
+from theory import greedy_values_stepwise, pick_scalar
 
 
 def szego_sample(points):
@@ -40,6 +44,26 @@ def multiplier_targets(rng, points, mu, nu, margin=0.8):
     bound = sum(np.linalg.norm(C, 2) for C in Cs)
     Cs = [margin * C / bound for C in Cs]
     return np.array([Cs[0] + Cs[1] * z + Cs[2] * z * z for z in points])
+
+
+def draw_points(kernel, rng, n):
+    if isinstance(kernel, Sobolev):
+        return list(rng.uniform(0.0, 1.0, n))
+    if isinstance(kernel, Ball):
+        v = rng.standard_normal((n, kernel.m)) + 1j * rng.standard_normal((n, kernel.m))
+        r = 0.8 * rng.uniform(0.0, 1.0, (n, 1))
+        return list(r * v / np.linalg.norm(v, axis=1, keepdims=True))
+    return list(random_disk_points(rng, n, 0.8))
+
+
+def greedy_case(kernel, seed, n, m):
+    """Scalar data of multiplier norm 0.8 at n points, and m evaluation points."""
+    rng = np.random.default_rng(seed)
+    pts = draw_points(kernel, rng, n + m)
+    s = gram(kernel, pts[:n])
+    lam = random_disk_points(rng, n, 1.0)
+    lam *= 0.8 / rep_operator_norm(PickProblem.scalar(s, lam))
+    return PickProblem.scalar(s, lam), pts[n:]
 
 
 def extended_pick_min_eig(kernel, points, targets, new_point, value):
@@ -441,6 +465,90 @@ class TestEvaluateInterpolant:
         p = PickProblem.scalar(szego_sample([0]), [0])
         with pytest.raises(DomainError, match="coincide"):
             evaluate_interpolant(p, [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "evals, message",
+        [
+            ([0.3, 0.5, 0.0], "new point duplicates sample point 1$"),
+            ([0.1, 0.2, 0.1, 0.2], "evaluation points 0 and 2 coincide$"),
+            ([0.5, 0.3, 0.3], "evaluation points 1 and 2 coincide$"),
+        ],
+        ids=["first-evaluation-then-first-sample", "first-pair", "among-evaluations-first"],
+    )
+    def test_duplicate_points_named(self, evals, message):
+        p = PickProblem.scalar(szego_sample([0, 0.5]), [0, 0.1])
+        with pytest.raises(DomainError, match=message):
+            evaluate_interpolant(p, evals)
+
+    def test_empty_evaluation_list(self):
+        for p in (PickProblem.scalar(szego_sample([0]), [0]), Szego()):
+            vals = evaluate_interpolant(p, [])
+            assert vals.shape == (0,) and vals.dtype == complex
+
+
+class TestEvaluateOneGram:
+    """One Gram of data and evaluation points, sliced per step, against the
+    step-by-step reference that assembles a Gram for every prefix."""
+
+    @pytest.mark.parametrize("kernel", [Szego(), Dirichlet(), Sobolev()], ids=lambda k: k.name)
+    def test_values_bit_identical_to_stepwise_reference(self, kernel, tol):
+        p, evals = greedy_case(kernel, 211, 6, 10)
+        vals = evaluate_interpolant(p, evals, tol)
+        np.testing.assert_array_equal(vals, greedy_values_stepwise(p, evals, tol))
+
+    def test_ball_values_agree_with_stepwise_reference(self, tol):
+        # Ball.cross is a matmul: the last bits of an entry depend on the
+        # size of the product, so a slice of one Gram is not bit-identical
+        # to the Gram of the prefix. The greedy path amplifies that by up to
+        # about the condition number of the Gram, so the 1e-12 bound is
+        # asserted on a sample whose Gram is well conditioned.
+        p, evals = greedy_case(Ball(2), 214, 4, 6)
+        assert np.linalg.cond(gram(Ball(2), list(p.sample.points) + evals).gram.a) < 1e5
+        vals = evaluate_interpolant(p, evals, tol)
+        np.testing.assert_allclose(vals, greedy_values_stepwise(p, evals, tol), rtol=0, atol=1e-12)
+
+    def test_one_gram_call(self, monkeypatch):
+        p, evals = greedy_case(Sobolev(), 217, 40, 30)
+        calls = []
+
+        def counting_gram(*args, **kwargs):
+            calls.append(args)
+            return gram(*args, **kwargs)
+
+        monkeypatch.setattr(cnpkit.interpolate, "gram", counting_gram)
+        assert evaluate_interpolant(p, evals).shape == (30,)
+        assert len(calls) == 1 and len(calls[0][1]) == 70
+
+    def test_indefinite_extension_refused_before_any_value(self, monkeypatch):
+        # data {0, 1} plus evaluation point 2 span a PSD block; point 3 makes
+        # the extended Gram indefinite (Schur complement 1 - 3 * 0.81 / 2)
+        M = np.full((4, 4), 0.5) + 0.5 * np.eye(4)
+        M[3, :3] = M[:3, 3] = 0.9
+        p = PickProblem.scalar(gram(ExplicitGram(M), [0, 1]), [0, 0])
+        steps = []
+        original = cnpkit.interpolate._schur_extension
+
+        def counting_extension(*args):
+            steps.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(cnpkit.interpolate, "_schur_extension", counting_extension)
+        with pytest.raises(DomainError, match="not positive definite"):
+            evaluate_interpolant(p, [2, 3])
+        assert steps == []
+
+    def test_hairline_prefix_refused(self):
+        # the prefix {0, 1} has min eigenvalue -3e-9, below its own floor
+        # -1e-9 * 2; the entry 100 lowers the floor of the whole Gram to
+        # -1e-7, which it passes, so only the smallest prefix's floor refuses
+        a = 1.0 + 3e-9
+        k = ExplicitGram([[1.0, a, 0.0], [a, 1.0, 0.0], [0.0, 0.0, 100.0]])
+        with pytest.raises(DomainError, match="not positive definite"):
+            gram(k, [0, 1])
+        gram(k, [0, 1, 2])
+        p = PickProblem.scalar(gram(k, [0]), [0])
+        with pytest.raises(DomainError, match="not positive definite"):
+            evaluate_interpolant(p, [1, 2])
 
 
 class TestVectorVsComplete:

@@ -185,6 +185,21 @@ class TestGram:
         with pytest.raises(DomainError, match="duplicate"):
             gram(Szego(), [0.1, 0.1])
 
+    @pytest.mark.parametrize(
+        "kernel, points, pair",
+        [
+            (Szego(), [0.1, 0.2, 0.3, 0.2, 0.1], (0, 4)),
+            (Sobolev(), [0.5, 0.25, 0.75, 0.25], (1, 3)),
+            (ExplicitGram(np.eye(3)), [2, 0, 1, 0], (1, 3)),
+            # ball points are equal only when every coordinate is
+            (Ball(2), [(0.1, 0.2), (0.2, 0.1), (0.1, 0.2j), (0.2, 0.1)], (1, 3)),
+        ],
+        ids=["szego", "sobolev", "explicit-gram", "ball"],
+    )
+    def test_first_duplicate_pair_named(self, kernel, points, pair):
+        with pytest.raises(DomainError, match=f"duplicate points at positions {pair[0]} and {pair[1]}$"):
+            gram(kernel, points)
+
     def test_non_pd_explicit_gram_rejected(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(DomainError, match="min eigenvalue"):

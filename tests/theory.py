@@ -4,7 +4,8 @@ Written apart from the kit's own formulas so that tests can compare the two:
 Schur products and complements, the entrywise reciprocal, the inertia of a
 block-diagonal congruence, the intermediate ``m_matrix`` that ties the F
 test to the H test by congruence, normalization at a base point, the
-Dirichlet kernel's closed form, and the scalar Pick matrix entry by entry.
+Dirichlet kernel's closed form, the scalar Pick matrix entry by entry, and
+the greedy interpolant computed one Gram per step.
 """
 
 import cmath
@@ -22,7 +23,9 @@ from cnpkit import (
     SampleSet,
     Tolerances,
     as_hermitian,
+    gram,
 )
+from cnpkit.interpolate import _schur_extension
 
 
 class SingularBlockError(CnpkitError):
@@ -144,3 +147,19 @@ def pick_scalar(K, lam) -> np.ndarray:
         for j in range(n):
             P[i, j] = (1.0 - lam[i].conjugate() * lam[j]) * K[i, j]
     return P
+
+
+def greedy_values_stepwise(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Greedy interpolant values of a scalar ``PickProblem``, one step at a time.
+
+    Each step assembles and validates the Gram of its own prefix with
+    ``gram``, extends by ``_schur_extension`` and commits the center, so the
+    result does not rely on slicing one Gram of all the points.
+    """
+    pts, lam = list(p.sample.points), list(p.targets)
+    for q in eval_points:
+        K = gram(p.sample.kernel, pts + [q], tol).gram.a
+        targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
+        lam.append(complex(_schur_extension(K, targets, tol)[0][0, 0]))
+        pts.append(q)
+    return np.asarray(lam[p.sample.n:], dtype=complex)
