@@ -42,8 +42,7 @@ from .interpolate import (
     evaluate_interpolant,
     extend_one_point_matrix,
     extend_one_point_scalar,
-    pick_matrix_block,
-    pick_matrix_scalar,
+    pick_matrix,
     rep_operator_norm,
     solvable,
     vector_vs_complete_check,
@@ -116,8 +115,7 @@ __all__ = [
     "is_psd",
     "kernel_from_json",
     "norm_pick_equivalence_suite",
-    "pick_matrix_block",
-    "pick_matrix_scalar",
+    "pick_matrix",
     "reconstruct",
     "rep_operator_norm",
     "solvable",

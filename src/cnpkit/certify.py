@@ -262,29 +262,27 @@ def find_non_cnp_triple(
     *,
     seed: int,
     max_trials: int = 10_000,
-    radius: float = 0.9,
-    n_points: int = 3,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[complex, ...]:
-    """Randomized search for a point tuple whose H-matrix refutes the cNP property.
+    """Randomized search for a point triple whose H-matrix refutes the cNP property.
 
-    Samples tuples uniformly from the disk ``|z| <= radius`` with a fixed
+    Samples triples uniformly from the disk ``|z| <= 0.9`` with a fixed
     seed and returns the first whose reciprocal Gram has at least two
     positive eigenvalues. Raises ``RuntimeError`` if the budget is exhausted
     (expected for kernels that do have the property).
     """
     rng = np.random.default_rng(seed)
     for _ in range(max_trials):
-        r = radius * np.sqrt(rng.uniform(0.0, 1.0, n_points))
-        th = rng.uniform(0.0, 2.0 * np.pi, n_points)
+        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 3))
+        th = rng.uniform(0.0, 2.0 * np.pi, 3)
         z = r * np.exp(1j * th)
-        if len({complex(c) for c in z}) < n_points:
+        if len({complex(c) for c in z}) < 3:
             continue
         sample = gram(kernel, z, tol)
         ine = inertia(h_matrix(sample, tol), tol)
         if ine.n_pos >= 2:
             return tuple(complex(c) for c in z)
     raise RuntimeError(
-        f"no refuting {n_points}-tuple found in {max_trials} trials; "
+        f"no refuting triple found in {max_trials} trials; "
         "the kernel may have the complete Nevanlinna-Pick property"
     )

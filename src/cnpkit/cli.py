@@ -22,8 +22,6 @@ from .embed import BallEmbedding, universal_embedding
 from .errors import CnpkitError, DomainError, InfeasibleExtensionError, NotPsdError
 from .hermitian import Tolerances
 from .interpolate import (
-    ExtensionDisk,
-    MatrixBall,
     PickProblem,
     evaluate_interpolant,
     extend_one_point_matrix,
@@ -223,7 +221,8 @@ def _assemble(cfg: RunConfig, validate_pd: bool):
     return K, labels, None
 
 
-def _load_problem(cfg: RunConfig) -> PickProblem:
+def _load_problem(cfg: RunConfig) -> tuple[PickProblem, bool]:
+    """The problem file's Pick problem, and whether its targets are scalar."""
     if cfg.problem is None:
         raise DomainError(f"{cfg.command} needs --problem")
     doc = load_json(cfg.problem)
@@ -234,8 +233,8 @@ def _load_problem(cfg: RunConfig) -> PickProblem:
     sample = gram(kernel, pts, cfg.tolerances)
     targets = parse_targets_doc(doc["targets"])
     if targets.ndim == 1:
-        return PickProblem.scalar(sample, targets)
-    return PickProblem.matrix(sample, targets)
+        return PickProblem.scalar(sample, targets), True
+    return PickProblem.matrix(sample, targets), False
 
 
 def _cmd_certify(cfg: RunConfig):
@@ -277,7 +276,7 @@ def _cmd_embed(cfg: RunConfig):
 
 
 def _cmd_interpolate(cfg: RunConfig):
-    problem = _load_problem(cfg)
+    problem, _ = _load_problem(cfg)
     rep = solvable(problem, cfg.tolerances)
     report = {
         "solvable": rep.solvable,
@@ -297,14 +296,14 @@ def _cmd_interpolate(cfg: RunConfig):
 
 
 def _cmd_extend(cfg: RunConfig):
-    problem = _load_problem(cfg)
+    problem, scalar = _load_problem(cfg)
     if cfg.eval_path is None:
         raise DomainError("extend needs --eval with exactly one new point")
     new_pts = parse_eval_doc(load_json(cfg.eval_path))
     if len(new_pts) != 1:
         raise DomainError(f"extend needs exactly one new point, got {len(new_pts)}")
     try:
-        if problem.is_scalar:
+        if scalar:
             disk = extend_one_point_scalar(problem, new_pts[0], cfg.tolerances)
             report = {
                 "feasible": True,
@@ -338,31 +337,10 @@ def _cmd_check_equivalences(cfg: RunConfig):
     npk = norm_pick_equivalence_suite(seed=cfg.seed, tol=tol)
     vec = vector_complete_suite(seed=cfg.seed, tol=tol)
     ok = c3.ok and npk.ok and not vec.failures
-    report = {
-        "all_passed": ok,
-        "certificate_equivalence": {
-            "trials": c3.trials,
-            "agreements": c3.agreements,
-            "true_verdicts": c3.true_verdicts,
-            "disagreements": [dict(d) for d in c3.disagreements],
-        },
-        "norm_pick": {
-            "trials": npk.trials,
-            "agreements": npk.agreements,
-            "true_verdicts": npk.true_verdicts,
-            "disagreements": [dict(d) for d in npk.disagreements],
-        },
-        "vector_complete": {
-            "trials": vec.trials,
-            "nu": vec.nu,
-            "mu_values": list(vec.mu_values),
-            "rejected_draws": vec.rejected_draws,
-            "row_feasible": vec.row_feasible,
-            "row_extension_ok": vec.row_extension_ok,
-            "matrix_extension_ok": [list(x) for x in vec.matrix_extension_ok],
-            "failures": [dict(f) for f in vec.failures],
-        },
-    }
+    sections = {"certificate_equivalence": c3, "norm_pick": npk, "vector_complete": vec}
+    report = {"all_passed": ok}
+    for key, suite in sections.items():
+        report[key] = {k: v for k, v in asdict(suite).items() if k != "name"}
     return (0 if ok else 1), report, None
 
 

@@ -58,7 +58,7 @@ class HermitianMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries, *, construction_tol: float = CONSTRUCTION_TOL):
+    def __init__(self, entries):
         a = np.array(entries, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -68,10 +68,10 @@ class HermitianMatrix:
             raise ValueError("matrix has non-finite entries")
         defect = float(np.max(np.abs(a - a.conj().T)))
         scale = max(1.0, float(np.max(np.abs(a))))
-        if defect > construction_tol * scale:
+        if defect > CONSTRUCTION_TOL * scale:
             raise ValueError(
                 f"matrix is not Hermitian: asymmetry {defect:.3e} exceeds "
-                f"{construction_tol:g} * max(1, |A|) = {construction_tol * scale:.3e}"
+                f"{CONSTRUCTION_TOL:g} * max(1, |A|) = {CONSTRUCTION_TOL * scale:.3e}"
             )
         self.a = _hermitian_part(a)
         self.a.setflags(write=False)

@@ -50,8 +50,7 @@ __all__ = [
     "MatrixBall",
     "SolvabilityReport",
     "VectorCompleteReport",
-    "pick_matrix_scalar",
-    "pick_matrix_block",
+    "pick_matrix",
     "rep_operator_norm",
     "solvable",
     "extend_one_point_scalar",
@@ -63,10 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PickProblem:
-    """Sample points with scalar or matrix interpolation targets.
+    """Sample points with mu-by-nu interpolation targets.
 
-    ``targets`` has shape ``(n,)`` for scalar data or ``(n, mu, nu)`` for
-    matrix data, aligned with ``sample.points``.
+    ``targets`` is an ``(n, mu, nu)`` stack, ``mu, nu >= 1``, aligned with
+    ``sample.points``; scalar data is the 1x1 case.
     """
 
     sample: SampleSet
@@ -74,8 +73,10 @@ class PickProblem:
 
     def __post_init__(self):
         t = np.array(self.targets, dtype=complex)
-        if t.ndim not in (1, 3):
-            raise DomainError("targets must have shape (n,) or (n, mu, nu)")
+        if t.ndim != 3 or 0 in t.shape[1:]:
+            raise DomainError(
+                f"targets must have shape (n, mu, nu) with mu, nu >= 1, got {t.shape}"
+            )
         if t.shape[0] != self.sample.n:
             raise DomainError(
                 f"target count {t.shape[0]} != point count {self.sample.n}"
@@ -85,32 +86,13 @@ class PickProblem:
 
     @staticmethod
     def scalar(sample: SampleSet, values) -> "PickProblem":
-        v = np.asarray(values, dtype=complex).reshape(-1)
+        """Scalar data as the 1x1 case, targets of shape ``(n, 1, 1)``."""
+        v = np.asarray(values, dtype=complex).reshape(-1, 1, 1)
         return PickProblem(sample=sample, targets=v)
 
     @staticmethod
     def matrix(sample: SampleSet, matrices) -> "PickProblem":
-        mats = np.asarray(matrices, dtype=complex)
-        if mats.ndim != 3:
-            raise DomainError("matrix targets must stack to shape (n, mu, nu)")
-        return PickProblem(sample=sample, targets=mats)
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.targets.ndim == 1
-
-    @property
-    def mu(self) -> int:
-        return 1 if self.is_scalar else self.targets.shape[1]
-
-    @property
-    def nu(self) -> int:
-        return 1 if self.is_scalar else self.targets.shape[2]
-
-
-def _blocks(p: PickProblem) -> np.ndarray:
-    """The targets as an (n, mu, nu) stack: scalar data is the 1x1 case."""
-    return p.targets.reshape(p.sample.n, p.mu, p.nu)
+        return PickProblem(sample=sample, targets=matrices)
 
 
 def _target_products(targets: np.ndarray) -> np.ndarray:
@@ -126,25 +108,19 @@ def _block_pick(K: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (K[:, None, :, None] * (eye - prod)).reshape(n * mu, n * mu)
 
 
-def pick_matrix_scalar(p: PickProblem) -> HermitianMatrix:
-    """Pick matrix ``(1 - lambda_j conj(lambda_i)) k(x_i, x_j)``."""
-    if not p.is_scalar:
-        raise DomainError("pick_matrix_scalar needs scalar targets")
-    return _symmetrized(_block_pick(p.sample.gram.a, _blocks(p)))
+def pick_matrix(p: PickProblem) -> HermitianMatrix:
+    """Block Pick matrix, ``n * mu`` square; for scalar data the n x n
+    matrix ``(1 - lambda_j conj(lambda_i)) k(x_i, x_j)``.
 
-
-def pick_matrix_block(p: PickProblem) -> HermitianMatrix:
-    """Block Pick matrix for matrix-valued targets (n*mu square).
-
-    Hermiticity is asserted at construction.
+    Non-finite entries are refused and Hermiticity is asserted at
+    construction.
     """
-    if p.is_scalar:
-        raise DomainError("pick_matrix_block needs matrix targets")
     P = _block_pick(p.sample.gram.a, p.targets)
+    H = _symmetrized(P)
     scale = max(1.0, float(np.max(np.abs(P))))
     if np.max(np.abs(P - P.conj().T)) > 1e-12 * scale:
         raise AssertionError("block Pick matrix lost Hermiticity")
-    return _symmetrized(P)
+    return H
 
 
 def rep_operator_norm(p: PickProblem, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -157,9 +133,9 @@ def rep_operator_norm(p: PickProblem, tol: Tolerances = DEFAULT_TOL) -> float:
     pencil is solved on its range.
     """
     K = p.sample.gram.a
-    size = p.sample.n * p.mu
-    S = (K[:, None, :, None] * _target_products(_blocks(p))).reshape(size, size)
-    G = np.kron(K, np.eye(p.mu))
+    n, mu, _ = p.targets.shape
+    S = (K[:, None, :, None] * _target_products(p.targets)).reshape(n * mu, n * mu)
+    G = np.kron(K, np.eye(mu))
     wg, vg = np.linalg.eigh(_hermitian_part(G))
     keep = wg > tol.zero_threshold(wg)
     if not np.all(keep):
@@ -191,9 +167,8 @@ class SolvabilityReport:
 
 
 def solvable(p: PickProblem, tol: Tolerances = DEFAULT_TOL) -> SolvabilityReport:
-    """Feasibility test for a Pick problem (scalar or matrix targets)."""
-    P = pick_matrix_scalar(p) if p.is_scalar else pick_matrix_block(p)
-    rep = is_psd(P, tol)
+    """Feasibility test for a Pick problem."""
+    rep = is_psd(pick_matrix(p), tol)
     cert = certify_cnp(p.sample, tol)
     if cert.verdict:
         note = (
@@ -236,13 +211,22 @@ class MatrixBall:
     right_factor: np.ndarray
 
 
-def _problem_data(p) -> tuple[Kernel, list, list]:
-    """Unpack a PickProblem (or a bare Kernel, meaning empty data)."""
+def _problem_data(p) -> tuple[Kernel, list, np.ndarray]:
+    """Unpack a PickProblem, or a bare Kernel meaning empty scalar data."""
     if isinstance(p, Kernel):
-        return p, [], []
+        return p, [], np.empty((0, 1, 1), dtype=complex)
     if not isinstance(p, PickProblem):
         raise DomainError("expected a PickProblem or a Kernel (for empty data)")
-    return p.sample.kernel, list(p.sample.points), list(p.targets)
+    return p.sample.kernel, list(p.sample.points), p.targets
+
+
+def _scalar_data(p, caller: str) -> tuple[Kernel, list, np.ndarray]:
+    """``_problem_data`` of a problem whose targets are 1x1."""
+    kernel, pts, targets = _problem_data(p)
+    _, mu, nu = targets.shape
+    if (mu, nu) != (1, 1):
+        raise DomainError(f"{caller} needs scalar (1x1) targets, got {mu}x{nu}")
+    return kernel, pts, targets
 
 
 def _extended_gram(kernel: Kernel, pts: list, new_points, tol: Tolerances) -> np.ndarray:
@@ -366,19 +350,16 @@ def extend_one_point_scalar(
 ) -> ExtensionDisk:
     """Disk of feasible targets at a new point for scalar data.
 
-    ``p`` is a solvable scalar ``PickProblem``, or a bare ``Kernel`` for
-    empty data (then the answer is the closed unit disk). The disk is the
-    1x1 case of the matrix ball: center ``C[0, 0]`` and radius
+    ``p`` is a solvable ``PickProblem`` with 1x1 targets, or a bare
+    ``Kernel`` for empty data (then the answer is the closed unit disk). The
+    disk is the 1x1 case of the matrix ball: center ``C[0, 0]`` and radius
     ``sqrt(L[0, 0] R[0, 0])``. The center is verified feasible by
     re-assembling the extended Pick matrix; emptiness beyond tolerance
     raises ``InfeasibleExtensionError`` and refutes the complete
     Nevanlinna-Pick property of the kernel.
     """
-    kernel, pts, lam = _problem_data(p)
-    if not isinstance(p, Kernel) and not p.is_scalar:
-        raise DomainError("extend_one_point_scalar needs scalar targets")
+    kernel, pts, targets = _scalar_data(p, "extend_one_point_scalar")
     K_ext = _extended_gram(kernel, pts, [new_point], tol)
-    targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
     C, L, R = _verified_extension(K_ext, targets, tol)
     return ExtensionDisk(
         center=complex(C[0, 0]), radius=float(np.sqrt(L[0, 0].real * R[0, 0].real))
@@ -386,45 +367,45 @@ def extend_one_point_scalar(
 
 
 def extend_one_point_matrix(
-    p: PickProblem, new_point, tol: Tolerances = DEFAULT_TOL
+    p, new_point, tol: Tolerances = DEFAULT_TOL
 ) -> MatrixBall:
-    """Matrix ball of feasible targets at a new point for matrix data.
+    """Matrix ball of feasible targets at a new point.
 
-    The ball ``center + L^{1/2} C R^{1/2}`` comes from the Schur complement
-    of the extended block Pick matrix (see ``_schur_extension``); the center
-    is always verified feasible post hoc.
+    ``p`` is a solvable ``PickProblem``, or a bare ``Kernel`` for empty data
+    (then the answer is the closed 1x1 unit ball). The ball
+    ``center + L^{1/2} C R^{1/2}`` comes from the Schur complement of the
+    extended block Pick matrix (see ``_schur_extension``); the center is
+    always verified feasible post hoc.
     """
-    if p.is_scalar:
-        raise DomainError("extend_one_point_matrix needs matrix targets")
-    kernel, pts, _ = _problem_data(p)
+    kernel, pts, targets = _problem_data(p)
     K_ext = _extended_gram(kernel, pts, [new_point], tol)
-    center, left, right = _verified_extension(K_ext, p.targets, tol)
+    center, left, right = _verified_extension(K_ext, targets, tol)
     return MatrixBall(center=center, left_factor=left, right_factor=right)
 
 
 def evaluate_interpolant(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Greedy multiplier values via repeated norm-preserving extension.
 
-    At each evaluation point the extension disk is computed and its center
-    committed as the value; the committed pair joins the data before the
-    next step, so every prefix of the extended problem stays solvable within
-    tolerance. The center is the most-interior choice, which keeps later
-    Schur complements well conditioned.
+    ``p`` is a solvable ``PickProblem`` with 1x1 targets, or a bare
+    ``Kernel`` for empty data. At each evaluation point the extension disk
+    is computed and its center committed as the value; the committed pair
+    joins the data before the next step, so every prefix of the extended
+    problem stays solvable within tolerance. The center is the most-interior
+    choice, which keeps later Schur complements well conditioned.
 
     Cost: one Gram of data and evaluation points, assembled and validated
     once; step k then eigensolves the Pick matrix on its ``n + k`` points.
     """
-    kernel, pts, lam = _problem_data(p)
-    if not isinstance(p, Kernel) and not p.is_scalar:
-        raise DomainError("evaluate_interpolant needs scalar targets")
+    kernel, pts, targets = _scalar_data(p, "evaluate_interpolant")
     eval_points = list(eval_points)
     if not eval_points:
         return np.empty(0, dtype=complex)
     K = _extended_gram(kernel, pts, eval_points, tol)
+    lam = np.empty((len(K), 1, 1), dtype=complex)
+    lam[: len(pts)] = targets
     for m in range(len(pts) + 1, len(K) + 1):
-        targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
-        lam.append(complex(_schur_extension(K[:m, :m], targets, tol)[0][0, 0]))
-    return np.asarray(lam[len(pts):], dtype=complex)
+        lam[m - 1] = _schur_extension(K[:m, :m], lam[: m - 1], tol)[0]
+    return lam[len(pts):].reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -231,7 +231,10 @@ class ExplicitGram(Kernel):
             raise ValueError("labels length must match matrix dimension")
 
     def coerce_point(self, p) -> int:
-        i = int(_scalar(p, self.name))
+        z = _scalar(p, self.name)
+        i = int(z.real)
+        if z != i:
+            raise DomainError(f"gram index must be an integer, got {p!r}")
         if not 0 <= i < self.matrix.dim:
             raise DomainError(f"gram index {i} out of range [0, {self.matrix.dim})")
         return i

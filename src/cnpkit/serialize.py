@@ -127,7 +127,7 @@ def parse_points_doc(doc, kernel_override: Kernel | None = None):
         points = doc.get("points", list(range(kernel.matrix.dim)))
         if not isinstance(points, list) or not all(_is_number(i) for i in points):
             raise DomainError("explicit-gram 'points' must be a list of row indices")
-        return kernel, [int(i) for i in points]
+        return kernel, points
     kernel = kernel_override
     if kernel is None:
         if "kernel" not in doc:
@@ -135,10 +135,7 @@ def parse_points_doc(doc, kernel_override: Kernel | None = None):
         kernel = kernel_from_json(doc["kernel"])
     if not isinstance(doc.get("points"), list):
         raise DomainError("points file needs a 'points' list")
-    pts = [_point_from_json(v) for v in doc["points"]]
-    if isinstance(kernel, ExplicitGram):
-        pts = [int(complex(p).real) if not isinstance(p, np.ndarray) else p for p in pts]
-    return kernel, pts
+    return kernel, [_point_from_json(v) for v in doc["points"]]
 
 
 def parse_targets_doc(doc) -> np.ndarray:
@@ -158,7 +155,8 @@ def parse_targets_doc(doc) -> np.ndarray:
             and isinstance(m.get("data"), list)
         ):
             raise DomainError("matrix targets need numbers 'mu' and 'nu' and a 'data' list")
-        mu, nu = int(m["mu"]), int(m["nu"])
+        # compared with the data's integer shape, a non-integral size never matches
+        mu, nu = m["mu"], m["nu"]
         data = np.array(
             [complex_matrix_from_json(rows) for rows in m["data"]], dtype=complex
         )

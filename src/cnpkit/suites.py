@@ -27,7 +27,7 @@ from .hermitian import DEFAULT_TOL, Tolerances, inertia, is_psd
 from .interpolate import (
     PickProblem,
     VectorCompleteReport,
-    pick_matrix_scalar,
+    pick_matrix,
     rep_operator_norm,
     vector_vs_complete_check,
 )
@@ -162,7 +162,7 @@ def norm_pick_equivalence_suite(
         p = PickProblem.scalar(sample, lam * (s / max(raw_norm, 1e-12)))
 
         norm_ok = rep_operator_norm(p, tol) <= 1.0 + 1e-8
-        psd_ok = is_psd(pick_matrix_scalar(p), tol).ok
+        psd_ok = is_psd(pick_matrix(p), tol).ok
         if norm_ok == psd_ok:
             agreements += 1
             true_count += int(norm_ok)

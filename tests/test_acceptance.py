@@ -31,7 +31,6 @@ from cnpkit import (
     inertia,
     irreducible_partition,
     is_psd,
-    pick_matrix_scalar,
     reconstruct,
     rep_operator_norm,
     universal_embedding,

@@ -1,8 +1,9 @@
-"""The public API and the functions the benchmark's tracer wraps."""
+"""The public API, the README tour, and the functions the benchmark's tracer wraps."""
 
 import importlib
 import importlib.util
 import pathlib
+import re
 
 import cnpkit
 
@@ -16,16 +17,17 @@ PUBLIC = {
     "certify_cnp", "evaluate_interpolant", "extend_one_point_matrix",
     "extend_one_point_scalar", "f_form", "f_matrix", "find_non_cnp_triple", "gram",
     "gram_factor", "h_matrix", "inertia", "irreducible_partition", "is_psd",
-    "kernel_from_json", "norm_pick_equivalence_suite", "pick_matrix_block",
-    "pick_matrix_scalar", "reconstruct", "rep_operator_norm", "solvable",
-    "universal_embedding", "vector_complete_suite", "vector_vs_complete_check",
+    "kernel_from_json", "norm_pick_equivalence_suite", "pick_matrix", "reconstruct",
+    "rep_operator_norm", "solvable", "universal_embedding", "vector_complete_suite",
+    "vector_vs_complete_check",
 }
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(cnpkit.__all__) == len(set(cnpkit.__all__)) == 52
+    assert len(cnpkit.__all__) == len(set(cnpkit.__all__)) == 51
     assert set(cnpkit.__all__) == PUBLIC
     for name in cnpkit.__all__:
         assert getattr(cnpkit, name) is not None
@@ -39,3 +41,9 @@ def test_every_traced_function_is_a_module_attribute():
     for module, function, *_ in tracing.TARGETS:
         mod = importlib.import_module(f"cnpkit.{module}")
         assert callable(getattr(mod, function, None)), f"cnpkit.{module}.{function}"
+
+
+def test_readme_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -193,6 +193,20 @@ class TestInterpolateCommand:
         report = json.loads(out.read_text())
         assert report["values"] == [] and report["eval_points"] == []
 
+    def test_one_by_one_matrix_targets_evaluate_like_scalar(self, tmp_path):
+        evals = write(tmp_path / "evals.json", {"points": [[0.25, 0], [-0.3, 0.1]]})
+        values = []
+        for targets in (
+            {"scalar": [[0, 0], [0.3, 0.1]]},
+            {"matrix": {"mu": 1, "nu": 1, "data": [[[[0, 0]]], [[[0.3, 0.1]]]]}},
+        ):
+            prob = write(tmp_path / "prob.json", {**SZEGO_PROBLEM, "targets": targets})
+            out = tmp_path / "r.json"
+            code = main(["interpolate", "--problem", prob, "--eval", evals, "--output", str(out)])
+            assert code == 0
+            values.append(json.loads(out.read_text())["values"])
+        assert values[0] == values[1] and len(values[0]) == 2
+
     def test_unsolvable_exits_one(self, tmp_path):
         prob = write(
             tmp_path / "prob.json",
@@ -265,6 +279,24 @@ class TestExtendCommand:
         report = json.loads(out.read_text())
         assert report["feasible"] is False
         assert "detail" in report["witness"]
+
+    def test_one_by_one_matrix_targets_give_a_ball(self, tmp_path):
+        evals = write(tmp_path / "new.json", [[0.2, 0.2]])
+        reports = []
+        for targets in (
+            {"scalar": [[0, 0], [0.3, 0.1]]},
+            {"matrix": {"mu": 1, "nu": 1, "data": [[[[0, 0]]], [[[0.3, 0.1]]]]}},
+        ):
+            prob = write(tmp_path / "prob.json", {**SZEGO_PROBLEM, "targets": targets})
+            out = tmp_path / "r.json"
+            code = main(["extend", "--problem", prob, "--eval", evals, "--output", str(out)])
+            assert code == 0
+            reports.append(json.loads(out.read_text()))
+        disk, ball = reports[0]["disk"], reports[1]["ball"]
+        assert "ball" not in reports[0] and "disk" not in reports[1]
+        assert ball["center"] == [[disk["center"]]]
+        radius = (ball["left_factor"][0][0][0] * ball["right_factor"][0][0][0]) ** 0.5
+        assert radius == pytest.approx(disk["radius"], rel=1e-15)
 
     def test_matrix_ball(self, tmp_path):
         prob = write(
@@ -423,6 +455,20 @@ class TestMalformedInput:
         ],
         ("ball-point-as-gram-index", "certify",
          {"kernel": GRAM_POINTS, "points": [[[0, 0], [1, 0]]]}, None),
+        # fractional or complex indices and sizes were once truncated to integers
+        ("fractional-gram-index", "certify", {**GRAM_POINTS, "points": [0, 1.7]}, None),
+        ("fractional-gram-index-under-kernel", "certify",
+         {"kernel": GRAM_POINTS, "points": [1.9, 0.4]}, None),
+        ("complex-gram-index", "certify", {"kernel": GRAM_POINTS, "points": [[0, 0], [1, 0.5]]}, None),
+        *[
+            (f"fractional-matrix-{key}", "extend",
+             {**SZEGO_PROBLEM, "targets": {"matrix": {**MATRIX_TARGETS, key: value}}},
+             [[0.25, 0]])
+            for key, value in (("mu", 1.5), ("nu", 2.5))
+        ],
+        ("zero-size-targets", "extend",
+         {**SZEGO_PROBLEM, "targets": {"matrix": {"mu": 1, "nu": 0, "data": [[[]], [[]]]}}},
+         [[0.25, 0]]),
     ]
 
     @pytest.mark.parametrize("name, command, doc, eval_doc", CASES, ids=[c[0] for c in CASES])

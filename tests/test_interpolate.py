@@ -20,8 +20,7 @@ from cnpkit import (
     extend_one_point_scalar,
     gram,
     is_psd,
-    pick_matrix_block,
-    pick_matrix_scalar,
+    pick_matrix,
     rep_operator_norm,
     solvable,
     vector_vs_complete_check,
@@ -73,21 +72,37 @@ def extended_pick_min_eig(kernel, points, targets, new_point, value):
     return np.linalg.eigvalsh((P + P.conj().T) / 2.0)[0]
 
 
+class TestPickProblem:
+    def test_scalar_data_is_the_one_by_one_stack(self):
+        p = PickProblem.scalar(szego_sample([0, 0.5, 0.3j]), [0, 0.5, 0.1j])
+        assert p.targets.shape == (3, 1, 1)
+        np.testing.assert_array_equal(p.targets[:, 0, 0], [0, 0.5, 0.1j])
+        assert not p.targets.flags.writeable
+
+    @pytest.mark.parametrize(
+        "targets", [np.zeros(2), np.zeros((2, 2)), np.zeros((2, 1, 0)), np.zeros((2, 0, 3))],
+        ids=["flat", "two-dimensional", "zero-columns", "zero-rows"],
+    )
+    def test_stack_shape_refused(self, targets):
+        with pytest.raises(DomainError, match=r"\(n, mu, nu\)"):
+            PickProblem.matrix(szego_sample([0, 0.5]), targets)
+
+
 class TestPickMatrixScalar:
     def test_zero_targets_give_gram(self):
         rng = np.random.default_rng(71)
         s = szego_sample(random_disk_points(rng, 4, 0.8))
-        P = pick_matrix_scalar(PickProblem.scalar(s, np.zeros(4)))
+        P = pick_matrix(PickProblem.scalar(s, np.zeros(4)))
         np.testing.assert_allclose(P.a, s.gram.a, atol=1e-15)
 
     def test_extremal_by_hand(self):
         s = szego_sample([0, 0.5])
-        P = pick_matrix_scalar(PickProblem.scalar(s, [0, 0.5]))
+        P = pick_matrix(PickProblem.scalar(s, [0, 0.5]))
         np.testing.assert_allclose(P.a, np.ones((2, 2)), atol=1e-15)
 
     def test_single_point_contraction(self):
         s = szego_sample([0.3])
-        P = pick_matrix_scalar(PickProblem.scalar(s, [0.9]))
+        P = pick_matrix(PickProblem.scalar(s, [0.9]))
         assert P.a[0, 0].real >= 0
 
 
@@ -96,14 +111,14 @@ class TestPickMatrixBlock:
         rng = np.random.default_rng(73)
         s = szego_sample(random_disk_points(rng, 4, 0.8))
         lam = random_disk_points(rng, 4, 0.9)
-        P1 = pick_matrix_scalar(PickProblem.scalar(s, lam)).a
-        P2 = pick_matrix_block(PickProblem.matrix(s, lam.reshape(4, 1, 1))).a
+        P1 = pick_matrix(PickProblem.scalar(s, lam)).a
+        P2 = pick_matrix(PickProblem.matrix(s, lam.reshape(4, 1, 1))).a
         np.testing.assert_allclose(P1, P2, atol=1e-14)
 
     def test_zero_targets_give_kron(self):
         rng = np.random.default_rng(75)
         s = szego_sample(random_disk_points(rng, 3, 0.8))
-        P = pick_matrix_block(PickProblem.matrix(s, np.zeros((3, 2, 2))))
+        P = pick_matrix(PickProblem.matrix(s, np.zeros((3, 2, 2))))
         np.testing.assert_allclose(P.a, np.kron(s.gram.a, np.eye(2)), atol=1e-14)
         assert is_psd(P).ok
 
@@ -114,7 +129,7 @@ class TestPickMatrixBlock:
         s = szego_sample(random_disk_points(rng, 3, 0.8))
         u = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         u = (u / np.linalg.norm(u)).reshape(3, 1)
-        P = pick_matrix_block(PickProblem.matrix(s, np.array([u, u, u])))
+        P = pick_matrix(PickProblem.matrix(s, np.array([u, u, u])))
         assert is_psd(P).ok
         expected = np.kron(s.gram.a, np.eye(3) - u.conj() @ u.T)
         np.testing.assert_allclose(P.a, expected, atol=1e-13)
@@ -170,7 +185,7 @@ class TestRepOperatorNorm:
             lam = random_disk_points(rng, n, 1.0) * rng.uniform(0.3, 1.3)
             p = PickProblem.scalar(s, lam)
             norm_ok = rep_operator_norm(p, tol) <= 1.0 + 1e-8
-            assert norm_ok == is_psd(pick_matrix_scalar(p), tol).ok
+            assert norm_ok == is_psd(pick_matrix(p), tol).ok
 
 
 class TestSolvable:
@@ -284,6 +299,17 @@ class TestExtendScalar:
 
 
 class TestExtendMatrix:
+    def test_scalar_problem_is_a_one_by_one_ball(self, tol):
+        p = PickProblem.scalar(szego_sample([0]), [0])
+        ball = extend_one_point_matrix(p, 0.5, tol)
+        assert ball.center.shape == ball.left_factor.shape == ball.right_factor.shape == (1, 1)
+        d = extend_one_point_scalar(p, 0.5, tol)
+        assert ball.center[0, 0] == d.center
+        assert np.sqrt(ball.left_factor[0, 0].real * ball.right_factor[0, 0].real) == d.radius
+        empty = extend_one_point_matrix(Szego(), 0.3, tol)
+        assert empty.center[0, 0] == 0
+        assert empty.left_factor[0, 0] * empty.right_factor[0, 0] == pytest.approx(1.0)
+
     def test_degenerates_to_scalar_disk(self, tol):
         rng = np.random.default_rng(95)
         pts = random_disk_points(rng, 3, 0.7)
@@ -312,7 +338,7 @@ class TestExtendMatrix:
         s = szego_sample(pts)
         targets = multiplier_targets(rng, pts, 2, 2)
         p = PickProblem.matrix(s, targets)
-        assert is_psd(pick_matrix_block(p), tol).ok
+        assert is_psd(pick_matrix(p), tol).ok
         z_new = 0.25 - 0.4j
         ball = extend_one_point_matrix(p, z_new, tol)
         wl, Vl = np.linalg.eigh(ball.left_factor)
@@ -410,7 +436,7 @@ class TestInfeasibleExtension:
         t = np.sqrt(0.4375)
         s = gram(Bergman(), [0, 0.5])
         p = PickProblem.matrix(s, [np.zeros((2, 2)), np.diag([t, t])])
-        assert is_psd(pick_matrix_block(p), tol).min_eigenvalue == pytest.approx(0, abs=1e-12)
+        assert is_psd(pick_matrix(p), tol).min_eigenvalue == pytest.approx(0, abs=1e-12)
         with pytest.raises(InfeasibleExtensionError) as exc:
             extend_one_point_matrix(p, 0.3, tol)
         assert exc.value.witness["schur_min_eigenvalue"] == pytest.approx(-4.97e-3, rel=1e-3)
@@ -459,7 +485,7 @@ class TestEvaluateInterpolant:
         all_lam = np.concatenate([lam, vals])
         for k in range(3, 8):
             sub = PickProblem.scalar(szego_sample(all_pts[:k]), all_lam[:k])
-            assert is_psd(pick_matrix_scalar(sub), tol).ok
+            assert is_psd(pick_matrix(sub), tol).ok
 
     def test_coincident_eval_points_rejected(self):
         p = PickProblem.scalar(szego_sample([0]), [0])
@@ -484,6 +510,24 @@ class TestEvaluateInterpolant:
         for p in (PickProblem.scalar(szego_sample([0]), [0]), Szego()):
             vals = evaluate_interpolant(p, [])
             assert vals.shape == (0,) and vals.dtype == complex
+
+    def test_one_by_one_matrix_data_is_scalar_data(self, tol):
+        p, evals = greedy_case(Szego(), 219, 5, 6)
+        q = PickProblem.matrix(p.sample, np.array(p.targets))
+        np.testing.assert_array_equal(
+            evaluate_interpolant(q, evals, tol), evaluate_interpolant(p, evals, tol)
+        )
+        assert extend_one_point_scalar(q, evals[0], tol) == extend_one_point_scalar(
+            p, evals[0], tol
+        )
+
+    def test_one_by_two_targets_refused(self):
+        p = PickProblem.matrix(szego_sample([0, 0.5]), np.zeros((2, 1, 2)))
+        message = r"needs scalar \(1x1\) targets, got 1x2"
+        with pytest.raises(DomainError, match=message):
+            evaluate_interpolant(p, [0.3])
+        with pytest.raises(DomainError, match=message):
+            extend_one_point_scalar(p, 0.3)
 
 
 class TestEvaluateOneGram:

@@ -181,6 +181,15 @@ class TestGram:
         s = gram(ExplicitGram(M), [2, 0])
         np.testing.assert_allclose(s.gram.a, np.diag([3.0, 1.0]), atol=1e-15)
 
+    def test_explicit_gram_integral_indices(self):
+        M = np.diag([1.0, 2.0, 3.0])
+        assert gram(ExplicitGram(M), [2.0, 1 + 0j, np.int64(0)]).points == (2, 1, 0)
+
+    @pytest.mark.parametrize("index", [1.7, 0.4, 1 + 0.5j, -0.5])
+    def test_explicit_gram_non_integral_index_refused(self, index):
+        with pytest.raises(DomainError, match="gram index must be an integer"):
+            gram(ExplicitGram(np.eye(3)), [index])
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             gram(Szego(), [0.1, 0.1])

@@ -150,13 +150,13 @@ def pick_scalar(K, lam) -> np.ndarray:
 
 
 def greedy_values_stepwise(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Greedy interpolant values of a scalar ``PickProblem``, one step at a time.
+    """Greedy interpolant values of a ``PickProblem`` with 1x1 targets, one step at a time.
 
     Each step assembles and validates the Gram of its own prefix with
     ``gram``, extends by ``_schur_extension`` and commits the center, so the
     result does not rely on slicing one Gram of all the points.
     """
-    pts, lam = list(p.sample.points), list(p.targets)
+    pts, lam = list(p.sample.points), list(p.targets.reshape(-1))
     for q in eval_points:
         K = gram(p.sample.kernel, pts + [q], tol).gram.a
         targets = np.asarray(lam, dtype=complex).reshape(-1, 1, 1)
