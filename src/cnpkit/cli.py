@@ -11,6 +11,7 @@ byte-stable given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -73,7 +74,25 @@ class RunConfig:
     fmt: str = "json"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Building it costs far more than parsing one command line, so ``main``
+    builds it once per process; parsing leaves it unchanged. The options
+    are declared once, in a parent that every command takes.
+    """
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--kernel", help="catalog kernel: szego|bergman|dirichlet|sobolev|ball")
+    common.add_argument("--points", help="points file (JSON)")
+    common.add_argument("--problem", help="interpolation problem file (JSON)")
+    common.add_argument("--eval", dest="eval_path", help="evaluation points file (JSON)")
+    common.add_argument("--base", type=int, default=0, help="base point index (default 0)")
+    common.add_argument("--tol-zero-eig", type=float, default=1e-9)
+    common.add_argument("--tol-psd", type=float, default=1e-9)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common.add_argument("--output", help="report file (default: stdout)")
+    common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     parser = argparse.ArgumentParser(
         prog="cnpkit",
         description=(
@@ -83,17 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--kernel", help="catalog kernel: szego|bergman|dirichlet|sobolev|ball")
-        p.add_argument("--points", help="points file (JSON)")
-        p.add_argument("--problem", help="interpolation problem file (JSON)")
-        p.add_argument("--eval", dest="eval_path", help="evaluation points file (JSON)")
-        p.add_argument("--base", type=int, default=0, help="base point index (default 0)")
-        p.add_argument("--tol-zero-eig", type=float, default=1e-9)
-        p.add_argument("--tol-psd", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--output", help="report file (default: stdout)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -16,6 +16,7 @@ conjugate-linear in its second slot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,8 +142,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("zero_eig_rel", "psd_slack_rel", "kernel_zero_abs"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive, got {value!r}")
 
     @staticmethod
     def _scale(w: np.ndarray) -> float:

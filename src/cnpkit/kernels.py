@@ -91,7 +91,7 @@ def _scalar(p, kernel_name: str):
 
 def _disk_point(p, kernel_name: str) -> complex:
     z = complex(_scalar(p, kernel_name))
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # also refuses NaN
         raise DomainError(f"{kernel_name} kernel needs |z| < 1, got |z| = {abs(z):.6g}")
     return z
 
@@ -166,7 +166,7 @@ class Sobolev(Kernel):
 
     def coerce_point(self, p) -> float:
         t = complex(_scalar(p, self.name))
-        if abs(t.imag) > 0:
+        if t.imag != 0:
             raise DomainError(f"sobolev kernel needs a real point, got {p!r}")
         t = float(t.real)
         if not 0.0 <= t <= 1.0:
@@ -198,7 +198,7 @@ class Ball(Kernel):
         x = np.atleast_1d(np.array(p, dtype=complex))
         if x.ndim != 1 or x.size != self.m:
             raise DomainError(f"ball({self.m}) point must have {self.m} coordinates")
-        if np.linalg.norm(x) >= 1.0:
+        if not np.linalg.norm(x) < 1.0:  # also refuses NaN
             raise DomainError(
                 f"ball point must have norm < 1, got {np.linalg.norm(x):.6g}"
             )
@@ -232,7 +232,10 @@ class ExplicitGram(Kernel):
 
     def coerce_point(self, p) -> int:
         z = _scalar(p, self.name)
-        i = int(z.real)
+        try:
+            i = int(z.real)
+        except (ValueError, OverflowError):  # NaN or infinite
+            i = None
         if z != i:
             raise DomainError(f"gram index must be an integer, got {p!r}")
         if not 0 <= i < self.matrix.dim:

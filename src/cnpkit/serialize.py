@@ -176,8 +176,11 @@ def parse_eval_doc(doc) -> list:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, newline.
+
+    Raises ``ValueError`` on a NaN or infinite number, which JSON cannot hold.
+    """
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, report schemas, determinism."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnpkit.cli import main
+from cnpkit.cli import COMMANDS, build_parser, main
+from cnpkit.serialize import canonical_dumps
 
 from conftest import FIXTURES
 
@@ -368,6 +370,92 @@ class TestSeedHandling:
     def test_bad_env_var_exits_two(self, szego_points_file, monkeypatch, capsys):
         monkeypatch.setenv("CNPKIT_SEED", "not-an-int")
         assert main(["certify", "--points", szego_points_file]) == 2
+
+
+class TestNonFiniteTolerances:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-psd", "inf"), ("--tol-zero-eig", "inf"), ("--tol-zero-eig", "1e400")],
+    )
+    def test_exits_two_and_writes_no_report(self, szego_points_file, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.json"
+        argv = ["certify", "--points", szego_points_file, flag, value, "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("cnpkit: error:")
+        assert not out.exists()
+
+    def test_report_text_is_standard_json(self):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                canonical_dumps({"min_eigenvalue": value})
+
+
+def _exit_text(call, argv, capsys):
+    """(exit status, stdout, stderr) of a parse that ends in SystemExit."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; nothing of a call outlives it."""
+
+    def test_built_once_for_many_calls(self, szego_points_file, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        try:
+            argv = ["certify", "--points", szego_points_file, "--output", str(tmp_path / "r.json")]
+            assert main(argv) == 0
+            per_build = len(built)
+            assert per_build > 0
+            for _ in range(5):
+                assert main(argv) == 0
+            assert len(built) == per_build
+        finally:
+            build_parser.cache_clear()
+
+    def test_options_do_not_carry_over(self, szego_points_file, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.json"
+        argv = ["embed", "--points", szego_points_file]
+        assert main(argv + ["--base", "3", "--format", "csv", "--output", str(first)]) == 0
+        assert main(argv + ["--output", str(second)]) == 0
+        assert "# base=3" in first.read_text().splitlines()
+        report = json.loads(second.read_text())
+        assert report["base"] == 0
+
+    def test_seed_environment_read_per_call(self, szego_points_file, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        argv = ["certify", "--points", szego_points_file, "--output", str(out)]
+        monkeypatch.delenv("CNPKIT_SEED", raising=False)
+        main(argv)
+        assert json.loads(out.read_text())["seed"] == 1729
+        monkeypatch.setenv("CNPKIT_SEED", "42")
+        main(argv)
+        assert json.loads(out.read_text())["seed"] == 42
+        monkeypatch.delenv("CNPKIT_SEED")
+        main(argv)
+        assert json.loads(out.read_text())["seed"] == 1729
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"]] + [[name, "-h"] for name in COMMANDS]
+        + [["certify", "--no-such-option"], [], ["no-such-command"], ["embed", "--base", "x"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, argv, capsys):
+        fresh = _exit_text(build_parser.__wrapped__().parse_args, argv, capsys)
+        assert fresh[0] in (0, 2) and (fresh[1] or fresh[2])
+        for _ in range(2):
+            assert _exit_text(main, argv, capsys) == fresh
 
 
 class TestDeterminism:

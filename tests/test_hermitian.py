@@ -70,6 +70,12 @@ class TestTolerances:
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["zero_eig_rel", "psd_slack_rel", "kernel_zero_abs"])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(**{field: value})
+
 
 class TestInertia:
     def test_identity(self):

@@ -190,6 +190,23 @@ class TestGram:
         with pytest.raises(DomainError, match="gram index must be an integer"):
             gram(ExplicitGram(np.eye(3)), [index])
 
+    @pytest.mark.parametrize(
+        "kernel, points",
+        [
+            (Szego(), [np.nan, complex(0, np.nan), complex(np.inf, np.nan)]),
+            (Bergman(), [np.nan, complex(np.nan, 0.5)]),
+            (Dirichlet(), [np.nan, complex(0.5, np.nan)]),
+            (Sobolev(), [np.nan, np.inf, complex(0.5, np.nan)]),
+            (Ball(2), [(np.nan, 0), (0.1, complex(np.inf, np.nan))]),
+            (ExplicitGram(np.eye(3)), [np.nan, np.inf, -np.inf, complex(1, np.nan)]),
+        ],
+        ids=["szego", "bergman", "dirichlet", "sobolev", "ball", "explicit-gram"],
+    )
+    def test_non_finite_point_refused(self, kernel, points):
+        for p in points:
+            with pytest.raises(DomainError):
+                gram(kernel, [p])
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(DomainError, match="duplicate"):
             gram(Szego(), [0.1, 0.1])
