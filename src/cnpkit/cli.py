@@ -11,10 +11,12 @@ byte-stable given identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,13 +31,11 @@ from .interpolate import (
     extend_one_point_scalar,
     solvable,
 )
-from .kernels import ExplicitGram, SampleSet, gram, irreducible_partition, kernel_from_json
+from .kernels import ExplicitGram, gram, irreducible_partition, kernel_from_json
 from .serialize import (
     atomic_write_text,
     canonical_dumps,
-    complex_matrix_to_json,
-    complex_to_json,
-    complex_vector_to_json,
+    complex_json,
     load_json,
     parse_eval_doc,
     parse_points_doc,
@@ -50,29 +50,6 @@ from .suites import (
 
 DEFAULT_SEED = 1729
 
-COMMANDS = (
-    "certify",
-    "embed",
-    "interpolate",
-    "extend",
-    "partition",
-    "check-equivalences",
-)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    kernel: str | None = None
-    points: str | None = None
-    problem: str | None = None
-    eval_path: str | None = None
-    base: int = 0
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = DEFAULT_SEED
-    output: str | None = None
-    fmt: str = "json"
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     are declared once, in a parent that every command takes.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kernel", help="catalog kernel: szego|bergman|dirichlet|sobolev|ball")
+    common.add_argument("--kernel", help="catalog kernel: szego|bergman|dirichlet|sobolev")
     common.add_argument("--points", help="points file (JSON)")
     common.add_argument("--problem", help="interpolation problem file (JSON)")
     common.add_argument("--eval", dest="eval_path", help="evaluation points file (JSON)")
@@ -106,45 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("CNPKIT_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise DomainError(f"CNPKIT_SEED must be an integer, got {env_seed!r}") from exc
-    return RunConfig(
-        command=args.command,
-        kernel=args.kernel,
-        points=args.points,
-        problem=args.problem,
-        eval_path=args.eval_path,
-        base=args.base,
-        tolerances=Tolerances(zero_eig_rel=args.tol_zero_eig, psd_slack_rel=args.tol_psd),
-        seed=seed,
-        output=args.output,
-        fmt=args.fmt,
-    )
-
-
 # ---------------------------------------------------------------------------
 # report builders
 
 
 def _witness_json(w: dict) -> dict:
-    out = {}
-    for key, value in w.items():
-        if isinstance(value, np.ndarray):
-            if value.ndim == 1:
-                out[key] = complex_vector_to_json(value)
-            else:
-                out[key] = complex_matrix_to_json(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    return {k: complex_json(v) if isinstance(v, np.ndarray) else v for k, v in w.items()}
 
 
 def _certificate_json(cert: CnpCertificate) -> dict:
@@ -172,57 +116,58 @@ def _embedding_json(e: BallEmbedding, labels) -> dict:
         "m": int(e.m),
         "reconstruction_error": e.reconstruction_error,
         "points": [
-            {
-                "label": labels[i],
-                "delta": complex_to_json(e.delta[i]),
-                "coords": complex_vector_to_json(e.coords[i]),
-            }
-            for i in range(len(labels))
+            {"label": label, "delta": delta, "coords": coords}
+            for label, delta, coords in zip(labels, complex_json(e.delta), complex_json(e.coords))
         ],
     }
 
 
-def _embedding_csv(e: BallEmbedding, labels, cfg: RunConfig) -> str:
-    lines = [
-        "# command=embed",
-        f"# base={e.base}",
-        f"# m={int(e.m)}",
-        f"# reconstruction_error={e.reconstruction_error!r}",
-        f"# seed={cfg.seed}",
-        f"# tol_zero_eig={cfg.tolerances.zero_eig_rel!r}",
-        f"# tol_psd={cfg.tolerances.psd_slack_rel!r}",
-    ]
-    header = ["label", "delta_re", "delta_im"]
-    for k in range(e.m):
-        header += [f"coord{k}_re", f"coord{k}_im"]
-    lines.append(",".join(header))
-    for i, label in enumerate(labels):
-        row = [label, repr(float(e.delta[i].real)), repr(float(e.delta[i].imag))]
-        for k in range(e.m):
-            row += [repr(float(e.coords[i, k].real)), repr(float(e.coords[i, k].imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _embedding_csv(e: BallEmbedding, labels, args) -> str:
+    """One row per point; ``csv`` quotes a label that holds a comma or quote."""
+    out = io.StringIO()
+    out.write(
+        "# command=embed\n"
+        f"# base={e.base}\n"
+        f"# m={int(e.m)}\n"
+        f"# reconstruction_error={e.reconstruction_error!r}\n"
+        f"# seed={args.seed}\n"
+        f"# tol_zero_eig={args.tolerances.zero_eig_rel!r}\n"
+        f"# tol_psd={args.tolerances.psd_slack_rel!r}\n"
+    )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label", "delta_re", "delta_im"]
+                    + [f"coord{k}_{part}" for k in range(e.m) for part in ("re", "im")])
+    values = np.column_stack((e.delta, e.coords)).view(float)
+    writer.writerows([label, *row] for label, row in zip(labels, values.tolist()))
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 
 
-def _load_kernel_and_points(cfg: RunConfig):
-    kernel_override = None
-    if cfg.kernel is not None:
-        kernel_override = kernel_from_json({"type": cfg.kernel})
-    if cfg.points is None:
-        raise DomainError(f"{cfg.command} needs --points")
-    doc = load_json(cfg.points)
-    return parse_points_doc(doc, kernel_override)
+def _kernel_override(args):
+    """The kernel that ``--kernel`` names, or None."""
+    if args.kernel == "ball":
+        raise DomainError(
+            "--kernel cannot build a ball kernel, which needs its dimension; give it "
+            'as the points file\'s "kernel" object, e.g. {"type": "ball", "m": 2}'
+        )
+    return None if args.kernel is None else kernel_from_json({"type": args.kernel})
 
 
-def _assemble(cfg: RunConfig, validate_pd: bool):
+def _load_kernel_and_points(args):
+    kernel_override = _kernel_override(args)
+    if args.points is None:
+        raise DomainError(f"{args.command} needs --points")
+    return parse_points_doc(load_json(args.points), kernel_override)
+
+
+def _assemble(args, validate_pd: bool):
     """Kernel + points -> (gram ndarray, labels, sample or None)."""
-    kernel, pts = _load_kernel_and_points(cfg)
+    kernel, pts = _load_kernel_and_points(args)
     if validate_pd or not isinstance(kernel, ExplicitGram):
-        sample = gram(kernel, pts, cfg.tolerances)
+        sample = gram(kernel, pts, args.tolerances)
         return sample.gram.a, list(sample.point_labels()), sample
     coerced = [kernel.coerce_point(p) for p in pts]
     K = kernel.gram_matrix(coerced)
@@ -230,33 +175,32 @@ def _assemble(cfg: RunConfig, validate_pd: bool):
     return K, labels, None
 
 
-def _load_problem(cfg: RunConfig) -> tuple[PickProblem, bool]:
+def _load_problem(args) -> tuple[PickProblem, bool]:
     """The problem file's Pick problem, and whether its targets are scalar."""
-    if cfg.problem is None:
-        raise DomainError(f"{cfg.command} needs --problem")
-    doc = load_json(cfg.problem)
+    if args.problem is None:
+        raise DomainError(f"{args.command} needs --problem")
+    doc = load_json(args.problem)
     if not isinstance(doc, dict) or "sample" not in doc or "targets" not in doc:
         raise DomainError("problem file needs 'sample' and 'targets'")
-    kernel_override = kernel_from_json({"type": cfg.kernel}) if cfg.kernel else None
-    kernel, pts = parse_points_doc(doc["sample"], kernel_override)
-    sample = gram(kernel, pts, cfg.tolerances)
+    kernel, pts = parse_points_doc(doc["sample"], _kernel_override(args))
+    sample = gram(kernel, pts, args.tolerances)
     targets = parse_targets_doc(doc["targets"])
     if targets.ndim == 1:
         return PickProblem.scalar(sample, targets), True
     return PickProblem.matrix(sample, targets), False
 
 
-def _cmd_certify(cfg: RunConfig):
-    K, labels, _ = _assemble(cfg, validate_pd=False)
-    cert = certify_cnp(K, cfg.tolerances)
+def _cmd_certify(args):
+    K, labels, _ = _assemble(args, validate_pd=False)
+    cert = certify_cnp(K, args.tolerances)
     report = _certificate_json(cert)
     report["labels"] = labels
     return (0 if cert.verdict else 1), report, None
 
 
-def _cmd_partition(cfg: RunConfig):
-    K, labels, _ = _assemble(cfg, validate_pd=False)
-    part = irreducible_partition(K, cfg.tolerances)
+def _cmd_partition(args):
+    K, labels, _ = _assemble(args, validate_pd=False)
+    part = irreducible_partition(K, args.tolerances)
     report = {
         "blocks": [list(b) for b in part.blocks],
         "consistent": part.consistent,
@@ -266,10 +210,10 @@ def _cmd_partition(cfg: RunConfig):
     return (0 if part.consistent else 1), report, None
 
 
-def _cmd_embed(cfg: RunConfig):
-    _, labels, sample = _assemble(cfg, validate_pd=True)
+def _cmd_embed(args):
+    _, labels, sample = _assemble(args, validate_pd=True)
     try:
-        emb = universal_embedding(sample, cfg.base, cfg.tolerances)
+        emb = universal_embedding(sample, args.base, args.tolerances)
     except NotPsdError as exc:
         report = {
             "embedded": False,
@@ -280,13 +224,13 @@ def _cmd_embed(cfg: RunConfig):
         }
         return 1, report, None
     report = {"embedded": True, **_embedding_json(emb, labels)}
-    csv_text = _embedding_csv(emb, labels, cfg) if cfg.fmt == "csv" else None
+    csv_text = _embedding_csv(emb, labels, args) if args.fmt == "csv" else None
     return 0, report, csv_text
 
 
-def _cmd_interpolate(cfg: RunConfig):
-    problem, _ = _load_problem(cfg)
-    rep = solvable(problem, cfg.tolerances)
+def _cmd_interpolate(args):
+    problem, _ = _load_problem(args)
+    rep = solvable(problem, args.tolerances)
     report = {
         "solvable": rep.solvable,
         "min_eigenvalue": rep.min_eigenvalue,
@@ -294,41 +238,41 @@ def _cmd_interpolate(cfg: RunConfig):
         "note": rep.note,
     }
     if not rep.solvable:
-        report["witness"] = {"eigenvector": complex_vector_to_json(rep.eigenvector)}
+        report["witness"] = {"eigenvector": complex_json(rep.eigenvector)}
         return 1, report, None
-    if cfg.eval_path is not None:
-        eval_pts = parse_eval_doc(load_json(cfg.eval_path))
-        values = evaluate_interpolant(problem, eval_pts, cfg.tolerances)
+    if args.eval_path is not None:
+        eval_pts = parse_eval_doc(load_json(args.eval_path))
+        values = evaluate_interpolant(problem, eval_pts, args.tolerances)
         report["eval_points"] = [point_to_json(problem.sample.kernel.coerce_point(q)) for q in eval_pts]
-        report["values"] = [complex_to_json(v) for v in values]
+        report["values"] = complex_json(values)
     return 0, report, None
 
 
-def _cmd_extend(cfg: RunConfig):
-    problem, scalar = _load_problem(cfg)
-    if cfg.eval_path is None:
+def _cmd_extend(args):
+    problem, scalar = _load_problem(args)
+    if args.eval_path is None:
         raise DomainError("extend needs --eval with exactly one new point")
-    new_pts = parse_eval_doc(load_json(cfg.eval_path))
+    new_pts = parse_eval_doc(load_json(args.eval_path))
     if len(new_pts) != 1:
         raise DomainError(f"extend needs exactly one new point, got {len(new_pts)}")
     try:
         if scalar:
-            disk = extend_one_point_scalar(problem, new_pts[0], cfg.tolerances)
+            disk = extend_one_point_scalar(problem, new_pts[0], args.tolerances)
             report = {
                 "feasible": True,
                 "disk": {
-                    "center": complex_to_json(disk.center),
+                    "center": complex_json(disk.center),
                     "radius": disk.radius,
                 },
             }
         else:
-            ball = extend_one_point_matrix(problem, new_pts[0], cfg.tolerances)
+            ball = extend_one_point_matrix(problem, new_pts[0], args.tolerances)
             report = {
                 "feasible": True,
                 "ball": {
-                    "center": complex_matrix_to_json(ball.center),
-                    "left_factor": complex_matrix_to_json(ball.left_factor),
-                    "right_factor": complex_matrix_to_json(ball.right_factor),
+                    "center": complex_json(ball.center),
+                    "left_factor": complex_json(ball.left_factor),
+                    "right_factor": complex_json(ball.right_factor),
                 },
             }
     except InfeasibleExtensionError as exc:
@@ -340,11 +284,11 @@ def _cmd_extend(cfg: RunConfig):
     return 0, report, None
 
 
-def _cmd_check_equivalences(cfg: RunConfig):
-    tol = cfg.tolerances
-    c3 = certificate_equivalence_suite(seed=cfg.seed, tol=tol)
-    npk = norm_pick_equivalence_suite(seed=cfg.seed, tol=tol)
-    vec = vector_complete_suite(seed=cfg.seed, tol=tol)
+def _cmd_check_equivalences(args):
+    tol = args.tolerances
+    c3 = certificate_equivalence_suite(seed=args.seed, tol=tol)
+    npk = norm_pick_equivalence_suite(seed=args.seed, tol=tol)
+    vec = vector_complete_suite(seed=args.seed, tol=tol)
     ok = c3.ok and npk.ok and not vec.failures
     sections = {"certificate_equivalence": c3, "norm_pick": npk, "vector_complete": vec}
     report = {"all_passed": ok}
@@ -362,31 +306,41 @@ _HANDLERS = {
     "check-equivalences": _cmd_check_equivalences,
 }
 
+COMMANDS = tuple(_HANDLERS)
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command and write its report; returns the exit status."""
-    if cfg.fmt == "csv" and cfg.command != "embed":
-        raise DomainError("--format csv is only available for the embed command")
-    code, report, csv_text = _HANDLERS[cfg.command](cfg)
-    report = {
-        "command": cfg.command,
-        "seed": cfg.seed,
-        "tolerances": asdict(cfg.tolerances),
-        **report,
-    }
-    text = csv_text if csv_text is not None else canonical_dumps(report)
-    if cfg.output:
-        atomic_write_text(cfg.output, text)
-    else:
-        sys.stdout.write(text)
-    return code
+
+def _seed(args) -> int:
+    """``CNPKIT_SEED`` when it is set, else ``--seed``."""
+    env_seed = os.environ.get("CNPKIT_SEED")
+    if env_seed is None:
+        return args.seed
+    try:
+        return int(env_seed)
+    except ValueError as exc:
+        raise DomainError(f"CNPKIT_SEED must be an integer, got {env_seed!r}") from exc
 
 
 def main(argv=None) -> int:
+    """Run one command and write its report; returns the exit status."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return run(cfg)
+        args.seed = _seed(args)
+        args.tolerances = Tolerances(zero_eig_rel=args.tol_zero_eig, psd_slack_rel=args.tol_psd)
+        if args.fmt == "csv" and args.command != "embed":
+            raise DomainError("--format csv is only available for the embed command")
+        code, report, csv_text = _HANDLERS[args.command](args)
+        report = {
+            "command": args.command,
+            "seed": args.seed,
+            "tolerances": asdict(args.tolerances),
+            **report,
+        }
+        text = csv_text if csv_text is not None else canonical_dumps(report)
+        if args.output:
+            atomic_write_text(args.output, text)
+        else:
+            sys.stdout.write(text)
+        return code
     except (CnpkitError, ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"cnpkit: error: {exc}", file=sys.stderr)
         return 2

@@ -75,9 +75,6 @@ class Kernel:
         the construction tolerance, as for the Dirichlet kernel near ``|z| = 1``."""
         return _hermitian_part(self.cross(points, points))
 
-    def to_json(self) -> dict:
-        return {"type": self.name}
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -209,9 +206,6 @@ class Ball(Kernel):
         X, Y = np.asarray(xs, dtype=complex), np.asarray(ys, dtype=complex)
         return 1.0 / (1.0 - X.conj() @ Y.T)
 
-    def to_json(self) -> dict:
-        return {"type": self.name, "m": self.m}
-
     def __repr__(self) -> str:
         return f"Ball(m={self.m})"
 
@@ -244,15 +238,6 @@ class ExplicitGram(Kernel):
 
     def cross(self, xs, ys) -> np.ndarray:
         return self.matrix.a[np.ix_(np.asarray(xs, dtype=int), np.asarray(ys, dtype=int))]
-
-    def to_json(self) -> dict:
-        from .serialize import complex_matrix_to_json
-
-        return {
-            "type": self.name,
-            "matrix": complex_matrix_to_json(self.matrix.a),
-            "labels": list(self.labels),
-        }
 
     def __repr__(self) -> str:
         return f"ExplicitGram(dim={self.matrix.dim})"
@@ -379,38 +364,25 @@ def irreducible_partition(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> Part
     counts as zero by ``tol.zero_entries``.
     """
     K = _gram_array(sample_or_gram)
-    n = K.shape[0]
     nonzero = ~tol.zero_entries(K)
-
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nonzero[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-
-    violations = []
-    for block in blocks:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                i, j = block[a], block[b]
-                if not nonzero[i, j]:
-                    violations.append((i, j))
-    return Partition(
-        blocks=blocks,
-        consistent=not violations,
-        violations=tuple(violations),
-    )
+    reach = nonzero | np.eye(len(K), dtype=bool)
+    label = np.full(len(K), -1)
+    blocks = []
+    # Seeded at the first unlabelled index, so blocks come out ordered by
+    # their smallest index; a block grows by one step of ``reach`` until it
+    # stops growing.
+    for seed in range(len(K)):
+        if label[seed] >= 0:
+            continue
+        block = reach[seed]
+        while np.count_nonzero(grown := reach @ block) > np.count_nonzero(block):
+            block = grown
+        label[block] = len(blocks)
+        blocks.append(tuple(block.nonzero()[0].tolist()))
+    # Zero pairs i < j inside a block, block by block, lexicographic within one.
+    i, j = (~nonzero & (label[:, None] == label)).nonzero()
+    upper = i < j
+    i, j = i[upper], j[upper]
+    order = label[i].argsort(kind="stable")
+    violations = tuple(zip(i[order].tolist(), j[order].tolist()))
+    return Partition(blocks=tuple(blocks), consistent=not violations, violations=violations)

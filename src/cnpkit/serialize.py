@@ -20,9 +20,8 @@ from .errors import DomainError
 from .kernels import ExplicitGram, Kernel, kernel_from_json
 
 __all__ = [
-    "complex_to_json",
+    "complex_json",
     "complex_from_json",
-    "complex_matrix_to_json",
     "complex_matrix_from_json",
     "point_to_json",
     "load_json",
@@ -34,9 +33,10 @@ __all__ = [
 ]
 
 
-def complex_to_json(z) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def complex_json(a) -> list:
+    """``a`` as ``[re, im]`` pairs nested like the array: a scalar gives one pair."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def _is_number(v) -> bool:
@@ -56,15 +56,6 @@ def complex_from_json(v) -> complex:
     raise DomainError(f"expected a number or [re, im] pair, got {v!r}")
 
 
-def complex_vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v).reshape(-1)]
-
-
-def complex_matrix_to_json(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in M]
-
-
 def complex_matrix_from_json(rows) -> np.ndarray:
     try:
         return np.array(
@@ -75,14 +66,11 @@ def complex_matrix_from_json(rows) -> np.ndarray:
 
 
 def point_to_json(p):
-    if isinstance(p, np.ndarray):
-        return [complex_to_json(z) for z in p]
     if isinstance(p, (int, np.integer)):
         return int(p)
-    z = complex(p)
-    if z.imag == 0.0:
-        return float(z.real)
-    return complex_to_json(z)
+    if np.ndim(p) == 0 and complex(p).imag == 0.0:
+        return float(complex(p).real)
+    return complex_json(p)
 
 
 def _point_from_json(v):

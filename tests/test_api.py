@@ -1,5 +1,7 @@
-"""The public API, the README tour, and the functions the benchmark's tracer wraps."""
+"""The public API, the README tour, the functions the benchmark's tracer wraps,
+and the package's imports."""
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -23,6 +25,7 @@ PUBLIC = {
 }
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cnpkit"
 TRACING = ROOT / "perfbench" / "tracing.py"
 
 
@@ -47,3 +50,34 @@ def test_readme_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_check_sees_an_unused_name():
+    source = "import os\nfrom a import b, c as d\n__all__ = ['b']\nprint(os)\n"
+    assert _unused_imports(source) == ["line 2: d"]
+
+
+def test_no_unused_imports():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    unused = {m.name: _unused_imports(m.read_text("utf-8")) for m in modules}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import io
 import json
 
@@ -12,9 +13,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cnpkit.cli import COMMANDS, build_parser, main
-from cnpkit.serialize import canonical_dumps
+from cnpkit.serialize import canonical_dumps, complex_json
 
 from conftest import FIXTURES
+
+SZEGO_PROBLEM = {
+    "sample": {"kernel": {"type": "szego"}, "points": [[0, 0], [0.5, 0]]},
+    "targets": {"scalar": [[0, 0], [0.25, 0]]},
+}
+BALL_POINTS = {"kernel": {"type": "ball", "m": 2}, "points": [[[0.1, 0], [0.2, 0]], [[0, 0.3], [0.1, 0]]]}
+GRAM_POINTS = {
+    "type": "gram",
+    "matrix": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]],
+    "labels": ["a", "b"],
+    "points": [0, 1],
+}
+MATRIX_TARGETS = {"mu": 1, "nu": 2, "data": [[[[0.1, 0], [0.2, 0]]], [[[0.1, 0], [0.0, 0]]]]}
+
+
+def _without(key):
+    return {k: v for k, v in MATRIX_TARGETS.items() if k != key}
 
 
 def write(path, doc):
@@ -170,6 +188,32 @@ class TestEmbedCommand:
     def test_csv_rejected_elsewhere(self, szego_points_file, capsys):
         assert main(["certify", "--points", szego_points_file, "--format", "csv"]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [BALL_POINTS, {**GRAM_POINTS, "labels": ['a, "b"', "c,d"]}],
+        ids=["ball", "labelled-gram"],
+    )
+    def test_csv_labels_round_trip(self, tmp_path, doc):
+        pts = write(tmp_path / "pts.json", doc)
+        argv = ["embed", "--points", pts, "--output"]
+        assert main(argv + [str(tmp_path / "emb.json")]) == 0
+        assert main(argv + [str(tmp_path / "emb.csv"), "--format", "csv"]) == 0
+        points = json.loads((tmp_path / "emb.json").read_text())["points"]
+        text = (tmp_path / "emb.csv").read_text()
+        header, *rows = csv.reader(l for l in text.splitlines() if not l.startswith("#"))
+        assert [len(row) for row in rows] == [len(header)] * len(points)
+        assert [row[0] for row in rows] == [p["label"] for p in points]
+        assert any("," in p["label"] for p in points)
+        for row, p in zip(rows, points):
+            assert [float(x) for x in row[1:]] == [*p["delta"], *sum(p["coords"], [])]
+
+    def test_kernel_flag_cannot_build_a_ball(self, tmp_path, capsys):
+        pts = write(tmp_path / "p.json", BALL_POINTS["points"])
+        assert main(["embed", "--kernel", "ball", "--points", pts]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cnpkit: error: --kernel") and "points file" in err
+        assert "|ball" not in _exit_text(main, ["embed", "-h"], capsys)[1]
+
 
 class TestInterpolateCommand:
     def test_unique_interpolant_values(self, phi_problem_file, tmp_path):
@@ -300,6 +344,20 @@ class TestExtendCommand:
         radius = (ball["left_factor"][0][0][0] * ball["right_factor"][0][0][0]) ** 0.5
         assert radius == pytest.approx(disk["radius"], rel=1e-15)
 
+    def test_fully_pinned_ball_writes_pairs(self, tmp_path):
+        # phi(z) = z is the only interpolant, so the ball is its value: the
+        # left factor is a real zero matrix and still writes [re, im] pairs
+        prob = write(tmp_path / "prob.json", {
+            **SZEGO_PROBLEM,
+            "targets": {"matrix": {"mu": 1, "nu": 1, "data": [[[[0, 0]]], [[[0.5, 0]]]]}},
+        })
+        evals = write(tmp_path / "new.json", [[0.25, 0]])
+        out = tmp_path / "r.json"
+        assert main(["extend", "--problem", prob, "--eval", evals, "--output", str(out)]) == 0
+        ball = json.loads(out.read_text())["ball"]
+        assert ball["left_factor"] == [[[0.0, 0.0]]]
+        assert ball["center"][0][0] == pytest.approx([0.25, 0.0], abs=1e-12)
+
     def test_matrix_ball(self, tmp_path):
         prob = write(
             tmp_path / "prob.json",
@@ -325,6 +383,19 @@ class TestExtendCommand:
         assert report["feasible"] is True
         assert len(report["ball"]["center"]) == 1
         assert len(report["ball"]["right_factor"]) == 2
+
+
+class TestComplexJson:
+    def test_scalars_give_one_pair(self):
+        assert complex_json(1 - 2j) == [1.0, -2.0]
+        assert complex_json(np.complex128(0.5j)) == [0.0, 0.5]
+
+    def test_arrays_give_pairs_nested_like_the_array(self):
+        assert complex_json(np.array([1.0, -0.0])) == [[1.0, 0.0], [-0.0, 0.0]]
+        stack = np.array([[1, 2j], [3 + 4j, -5]])
+        assert complex_json(stack) == [[[1.0, 0.0], [0.0, 2.0]], [[3.0, 4.0], [-5.0, 0.0]]]
+        assert complex_json(np.zeros((3, 0))) == [[], [], []]
+        assert all(type(x) is float for x in complex_json(np.array([1, 2]))[1])
 
 
 class TestCheckEquivalencesCommand:
@@ -484,24 +555,6 @@ class TestDeterminism:
                 argv + ["--output", str(out2)]
             )
             assert out1.read_bytes() == out2.read_bytes(), name
-
-
-SZEGO_PROBLEM = {
-    "sample": {"kernel": {"type": "szego"}, "points": [[0, 0], [0.5, 0]]},
-    "targets": {"scalar": [[0, 0], [0.25, 0]]},
-}
-BALL_POINTS = {"kernel": {"type": "ball", "m": 2}, "points": [[[0.1, 0], [0.2, 0]], [[0, 0.3], [0.1, 0]]]}
-GRAM_POINTS = {
-    "type": "gram",
-    "matrix": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]],
-    "labels": ["a", "b"],
-    "points": [0, 1],
-}
-MATRIX_TARGETS = {"mu": 1, "nu": 2, "data": [[[[0.1, 0], [0.2, 0]]], [[[0.1, 0], [0.0, 0]]]]}
-
-
-def _without(key):
-    return {k: v for k, v in MATRIX_TARGETS.items() if k != key}
 
 
 class TestMalformedInput:
