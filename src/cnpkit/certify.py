@@ -37,7 +37,7 @@ from .hermitian import (
     _symmetrized,
     inertia,
 )
-from .kernels import Kernel, _gram_array, gram, irreducible_partition
+from .kernels import Kernel, _hermitian_gram, gram, irreducible_partition
 
 __all__ = [
     "CnpCertificate",
@@ -136,7 +136,7 @@ def f_form(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> Hermitia
     eigenvalue here is a refutation witness, reported by downstream
     consumers rather than raised.
     """
-    K = _checked_for_base(_gram_array(sample_or_gram), base, tol)
+    K = _checked_for_base(_hermitian_gram(sample_or_gram).a, base, tol)
     n = K.shape[0]
     F = _forms(K, np.array([base]), np.arange(n)[np.newaxis, :])[0]
     F[base, :] = 0.0
@@ -151,7 +151,7 @@ def f_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> Hermit
     indices. Requires an irreducible sample with at least two points.
     Diagonal entries lie in ``[0, 1)`` by the Cauchy-Schwarz inequality.
     """
-    K = _gram_array(sample_or_gram)
+    K = _hermitian_gram(sample_or_gram).a
     if K.shape[0] < 2:
         raise DomainError("f_matrix needs a sample with at least 2 points")
     return _symmetrized(_f(_checked_for_base(K, base, tol), base))
@@ -159,7 +159,7 @@ def f_matrix(sample_or_gram, base: int, tol: Tolerances = DEFAULT_TOL) -> Hermit
 
 def h_matrix(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Entrywise reciprocal of the Gram of an irreducible sample."""
-    return _reciprocal(_irreducible(_gram_array(sample_or_gram), tol))
+    return _reciprocal(_irreducible(_hermitian_gram(sample_or_gram).a, tol))
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,9 @@ def certify_cnp(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> CnpCertificate
     yields verdict False immediately. Accepts a ``SampleSet`` or a raw
     Hermitian Gram.
     """
-    K = _gram_array(sample_or_gram)
-    part = irreducible_partition(K, tol)
+    H = _hermitian_gram(sample_or_gram)
+    K = H.a
+    part = irreducible_partition(H, tol)
     block_inertias: list[Inertia] = []
     f_min_eigs: list[tuple[int, float]] = []
 

@@ -164,11 +164,11 @@ def _load_kernel_and_points(args):
 
 
 def _assemble(args, validate_pd: bool):
-    """Kernel + points -> (gram ndarray, labels, sample or None)."""
+    """Kernel + points -> (Gram: HermitianMatrix or unvalidated ndarray, labels, sample or None)."""
     kernel, pts = _load_kernel_and_points(args)
     if validate_pd or not isinstance(kernel, ExplicitGram):
         sample = gram(kernel, pts, args.tolerances)
-        return sample.gram.a, list(sample.point_labels()), sample
+        return sample.gram, list(sample.point_labels()), sample
     coerced = [kernel.coerce_point(p) for p in pts]
     K = kernel.gram_matrix(coerced)
     labels = [kernel.labels[i] for i in coerced]

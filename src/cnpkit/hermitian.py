@@ -148,7 +148,7 @@ class Tolerances:
 
     @staticmethod
     def _scale(w: np.ndarray) -> float:
-        return max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
+        return max(1.0, float(np.abs(w).max())) if w.size else 1.0
 
     def zero_threshold(self, w: np.ndarray) -> float:
         """Largest eigenvalue magnitude that counts as zero among eigenvalues ``w``."""

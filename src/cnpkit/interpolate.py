@@ -19,10 +19,11 @@ One-point extension: appending an unknown target at a new point keeps the
 extended Pick matrix PSD on a matrix ball ``center + L^{1/2} C R^{1/2}``,
 ``||C|| <= 1``, obtained from the Schur complement of the extended matrix
 with respect to the leading block; the scalar disk is its 1x1 case, with
-radius ``sqrt(L R)``. Singular leading blocks are handled by restricting to
-their numerical range, with the leftover linear constraint pinning (part
-of) the target. One check decides feasibility: the Schur complement at the
-returned center must be PSD within tolerance.
+radius ``sqrt(L R)``. The leading block enters through a factor built by
+bordering (``_PickFactor``): its range rows give the Schur complement, and
+its null rows carry the linear constraint that pins (part of) the target.
+One check decides feasibility: the Schur complement at the returned center
+must be PSD within tolerance.
 """
 
 from __future__ import annotations
@@ -95,17 +96,18 @@ class PickProblem:
         return PickProblem(sample=sample, targets=matrices)
 
 
-def _target_products(targets: np.ndarray) -> np.ndarray:
-    """``prod[i, :, j, :] = conj(Lambda_i) Lambda_j^T`` for an (n, mu, nu) stack."""
-    return np.einsum("iac,jbc->iajb", targets.conj(), targets)
+def _target_products(targets: np.ndarray, others=None) -> np.ndarray:
+    """``prod[i, :, j, :] = conj(Lambda_i) M_j^T``; ``M`` is ``others``, else ``targets``."""
+    return np.einsum("iac,jbc->iajb", targets.conj(), targets if others is None else others)
 
 
-def _block_pick(K: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    n, mu, _ = targets.shape
-    prod = _target_products(targets)
+def _block_pick(K: np.ndarray, targets: np.ndarray, others=None) -> np.ndarray:
+    """Blocks ``K[i, j] (I - conj(Lambda_i) M_j^T)``; the Pick matrix if ``others`` is None."""
+    prod = _target_products(targets, others)
+    n, mu, m, _ = prod.shape
     eye = np.zeros_like(prod)
     eye[:, np.arange(mu), :, np.arange(mu)] = 1.0
-    return (K[:, None, :, None] * (eye - prod)).reshape(n * mu, n * mu)
+    return (K[:, None, :, None] * (eye - prod)).reshape(n * mu, m * mu)
 
 
 def pick_matrix(p: PickProblem) -> HermitianMatrix:
@@ -230,36 +232,65 @@ def _scalar_data(p, caller: str) -> tuple[Kernel, list, np.ndarray]:
 
 
 def _extended_gram(kernel: Kernel, pts: list, new_points, tol: Tolerances) -> np.ndarray:
-    """Gram of ``pts`` then ``new_points`` from one ``gram`` call, held to the
-    PSD floor of its smallest prefix, ``pts`` plus one point: by Cauchy
-    interlacing every longer prefix then passes ``gram``'s check on its own."""
+    """Gram of the sample's (distinct) ``pts`` then ``new_points``, held to the PSD floor of
+    its smallest prefix, ``pts`` plus one point: by interlacing, every longer prefix passes."""
     qs = [kernel.coerce_point(q) for q in new_points]
     if pair := _first_equal_pair(qs):
         raise DomainError(f"evaluation points {pair[0]} and {pair[1]} coincide")
     if pair := _first_equal_pair(qs, pts):
         raise DomainError(f"new point duplicates sample point {pair[1]}")
-    K = gram(kernel, pts + qs, tol).gram.a
-    m = len(pts) + 1
-    if K.shape[0] > m:
-        _require_psd(np.linalg.eigvalsh(K)[0], tol.psd_floor(np.linalg.eigvalsh(K[:m, :m])))
+    K = _symmetrized(kernel.gram_matrix(pts + qs)).a
+    w, m = np.linalg.eigvalsh(K), len(pts) + 1
+    _require_psd(w[0], tol.psd_floor(w if len(K) == m else np.linalg.eigvalsh(K[:m, :m])))
     return K
 
 
-def _range_split(P: np.ndarray, tol: Tolerances):
-    """Eigen-split of a PSD-within-tolerance matrix into range and null parts."""
-    w, V = np.linalg.eigh(P)
-    floor = tol.psd_floor(w)
-    if w.size and w[0] < floor:
-        raise NotPsdError(
-            f"leading Pick block is not PSD (min eigenvalue {w[0]:.6e}); "
-            "the data is not solvable",
-            min_eigenvalue=float(w[0]),
-        )
-    keep = w > tol.zero_threshold(w)
-    return w[keep], V[:, keep], V[:, ~keep], -floor
+class _PickFactor:
+    """Factor of a Pick matrix ``Q = L D L^*`` grown by bordering, O(m^2) a column (Golub
+    & Van Loan, *Matrix Computations*); a ``Q`` passed here is bordered column by column.
+    Range rows ``R``, those of ``D^{-1/2} L^{-1}`` with pivots above ``tol.zero_threshold``,
+    fill ``rows`` from the top (``R^* R`` inverts ``Q`` on its range); unit null rows
+    (``N Q ~ 0``) fill it from the bottom. Thresholds use the diagonal bordered so far."""
+
+    def __init__(self, size: int, tol: Tolerances, Q=()):
+        self.rows = np.zeros((size, size), dtype=complex)
+        self.diag = np.zeros(size)
+        self.m = self.r = self.k = 0
+        self.tol = tol
+        for j in range(len(Q)):
+            self.border(Q[:j, j], Q[j, j].real)
+
+    def border(self, q: np.ndarray, pi: float) -> None:
+        """Append the column ``q`` with diagonal entry ``pi``."""
+        m, r, k, size = self.m, self.r, self.k, len(self.rows)
+        self.diag[m] = pi
+        z = self.rows[:r, :m] @ q
+        s = pi - np.vdot(z, z).real
+        c = float(np.abs(self.rows[size - k :, :m] @ q).max()) if k else 0.0
+        pivot = min(s, -c * c / max(1.0, pi))
+        if pivot < self.tol.psd_floor(self.diag[: m + 1]):
+            raise NotPsdError(f"leading Pick block is not PSD (pivot {pivot:.6e}); "
+                              "the data is not solvable", min_eigenvalue=float(pivot))
+        row = -(z.conj() @ self.rows[:r, : m + 1])
+        row[m] = 1.0
+        # a range row also needs its Rayleigh quotient s / |row|^2 above rounding of the scale
+        w, ray = self.diag[: m + 1], s / np.vdot(row, row).real
+        if s > self.tol.zero_threshold(w) and ray > np.finfo(float).eps * Tolerances._scale(w):
+            self.rows[r, : m + 1], self.r = row / np.sqrt(s), r + 1
+        else:
+            self.rows[size - 1 - k, : m + 1], self.k = row / np.linalg.norm(row), k + 1
+        self.m += 1
 
 
-def _schur_extension(K_ext: np.ndarray, targets: np.ndarray, tol: Tolerances):
+def _pick_column(K: np.ndarray, lam: np.ndarray, j: int):
+    """``_hermitian_part(_block_pick(K, lam))[:j+1, j]`` to the bit, split at the diagonal."""
+    col = _block_pick(K[: j + 1, j : j + 1], lam[: j + 1], lam[j : j + 1])[:, 0]
+    row = _block_pick(K[j : j + 1, : j + 1], lam[j : j + 1], lam[: j + 1])[0]
+    h = col * 0.5 + (row * 0.5).conj()
+    return h[:j], h[j].real
+
+
+def _schur_extension(K_ext: np.ndarray, targets: np.ndarray, tol: Tolerances, F=None):
     """Feasible targets at the last point of ``K_ext`` for (n, mu, nu) targets.
 
     Works in conjugated coordinates ``W_i = conj(Lambda_i)`` where the block
@@ -271,33 +302,36 @@ def _schur_extension(K_ext: np.ndarray, targets: np.ndarray, tol: Tolerances):
     and completing the square writes it as ``RL - (W - W0) T (W - W0)^*``
     with ``T = kzz I + A``, center ``W0 = B^* T^{-1}`` and
     ``RL = kzz I - E + W0 B``: the ball has left factor ``RL`` and right
-    factor ``T^{-1}``. A singular leading block adds the constraint
-    ``Uc = Vc W^*`` on its null space: the singular values of ``Vc`` above
-    the range cut pin those target directions, and the rest of ``Uc`` must
-    vanish. The one feasibility check is ``S >= -slack`` at the returned
-    center, whose PSD part is the left factor (``RL`` when nothing is
-    pinned). Returns center, left and right factor in target coordinates;
-    both factors are zero when every direction is pinned.
+    factor ``T^{-1}``, with ``E``, ``A``, ``B`` from the range rows of the
+    leading block's ``_PickFactor`` ``F`` (built here when not given). A
+    singular leading block adds the constraint ``Uc = Vc W^*`` on its null
+    rows: the singular values of ``Vc`` above the range cut pin those target
+    directions, and the rest of ``Uc`` must vanish. The one feasibility
+    check is ``S >= -slack`` at the returned center, whose PSD part is the
+    left factor (``RL`` when nothing is pinned). Returns center, left and
+    right factor in target coordinates; both are zero when all is pinned.
     """
     n, mu, nu = targets.shape
     kcol = K_ext[:n, n]
     kzz = float(K_ext[n, n].real)
-    U = np.kron(kcol.reshape(n, 1), np.eye(mu))
+    U = (kcol[:, None, None] * np.eye(mu)).reshape(n * mu, mu)
     V = (kcol[:, None, None] * targets.conj()).reshape(n * mu, nu)
 
-    Q = _hermitian_part(_block_pick(K_ext[:n, :n], targets))
-    wk, Vr, Vp, slack = _range_split(Q, tol)
-    Ur, Vrng = Vr.conj().T @ U, Vr.conj().T @ V
-    E = Ur.conj().T @ (Ur / wk[:, None])
-    A = Vrng.conj().T @ (Vrng / wk[:, None])
-    B = Vrng.conj().T @ (Ur / wk[:, None])
+    if F is None:
+        F = _PickFactor(n * mu, tol, _hermitian_part(_block_pick(K_ext[:n, :n], targets)))
+    R, Np = F.rows[: F.r, : F.m], F.rows[len(F.rows) - F.k :, : F.m]
+    slack = -tol.psd_floor(F.diag[: F.m])
+    Ur, Vrng = R @ U, R @ V
+    E = Ur.conj().T @ Ur
+    A = Vrng.conj().T @ Vrng
+    B = Vrng.conj().T @ Ur
     T = kzz * np.eye(nu) + _hermitian_part(A)
     W0 = np.linalg.solve(T, B).conj().T
     RL = _hermitian_part(kzz * np.eye(mu) - E + W0 @ B)
     wt, Vt = np.linalg.eigh(T)
     right = (Vt / wt) @ Vt.conj().T
 
-    Uc, Vc = Vp.conj().T @ U, Vp.conj().T @ V
+    Uc, Vc = Np @ U, Np @ V
     cut = np.sqrt(slack * max(1.0, kzz))
     Y, s, Zh = np.linalg.svd(Vc, full_matrices=False)
     r = int(np.sum(s > cut))
@@ -393,19 +427,23 @@ def evaluate_interpolant(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.nd
     problem stays solvable within tolerance. The center is the most-interior
     choice, which keeps later Schur complements well conditioned.
 
-    Cost: one Gram of data and evaluation points, assembled and validated
-    once; step k then eigensolves the Pick matrix on its ``n + k`` points.
+    Cost: one Gram of all the points, assembled and validated once; each committed value
+    borders one ``_PickFactor`` by a column: O(m^2) a step, no eigensolve beyond 1x1.
     """
     kernel, pts, targets = _scalar_data(p, "evaluate_interpolant")
     eval_points = list(eval_points)
     if not eval_points:
         return np.empty(0, dtype=complex)
     K = _extended_gram(kernel, pts, eval_points, tol)
+    n, F = len(pts), _PickFactor(len(K) - 1, tol)
     lam = np.empty((len(K), 1, 1), dtype=complex)
-    lam[: len(pts)] = targets
-    for m in range(len(pts) + 1, len(K) + 1):
-        lam[m - 1] = _schur_extension(K[:m, :m], lam[: m - 1], tol)[0]
-    return lam[len(pts):].reshape(-1)
+    lam[:n] = targets
+    for m in range(len(K)):
+        if m >= n:
+            lam[m] = _schur_extension(K[: m + 1, : m + 1], lam[:m], tol, F)[0]
+        if m < len(K) - 1:
+            F.border(*_pick_column(K, lam, m))
+    return lam[n:].reshape(-1)
 
 
 @dataclass(frozen=True)

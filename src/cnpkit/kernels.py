@@ -350,10 +350,11 @@ class Partition:
     violations: tuple[tuple[int, int], ...]
 
 
-def _gram_array(sample_or_gram) -> np.ndarray:
+def _hermitian_gram(sample_or_gram) -> HermitianMatrix:
+    """A sample's Gram, or a raw matrix wrapped once; a ``HermitianMatrix`` passes through."""
     if isinstance(sample_or_gram, SampleSet):
-        return sample_or_gram.gram.a
-    return as_hermitian(sample_or_gram).a
+        return sample_or_gram.gram
+    return as_hermitian(sample_or_gram)
 
 
 def irreducible_partition(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> Partition:
@@ -363,7 +364,7 @@ def irreducible_partition(sample_or_gram, tol: Tolerances = DEFAULT_TOL) -> Part
     violate the block structure; that is reported, never raised). An entry
     counts as zero by ``tol.zero_entries``.
     """
-    K = _gram_array(sample_or_gram)
+    K = _hermitian_gram(sample_or_gram).a
     nonzero = ~tol.zero_entries(K)
     reach = nonzero | np.eye(len(K), dtype=bool)
     label = np.full(len(K), -1)

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import sys
 
 import cnpkit
 
@@ -81,3 +82,32 @@ def test_no_unused_imports():
     assert modules
     unused = {m.name: _unused_imports(m.read_text("utf-8")) for m in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports beyond the standard library, numpy
+    and the package itself."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cnpkit"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in allowed]
+    return found
+
+
+def test_foreign_import_check_sees_a_third_party_module():
+    source = "import json\nimport scipy.linalg\nfrom . import kernels\nfrom mpmath import mp\n"
+    assert _foreign_imports(source) == ["line 2: scipy.linalg", "line 4: mpmath"]
+
+
+def test_runtime_imports_are_stdlib_numpy_or_the_package():
+    # pyproject.toml declares numpy as the only runtime dependency
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    foreign = {m.name: _foreign_imports(m.read_text("utf-8")) for m in modules}
+    assert {name: found for name, found in foreign.items() if found} == {}

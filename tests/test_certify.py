@@ -9,6 +9,7 @@ from cnpkit import (
     Bergman,
     Dirichlet,
     ExplicitGram,
+    HermitianMatrix,
     Inertia,
     ReducibleKernelError,
     Sobolev,
@@ -215,6 +216,23 @@ class TestCertify:
         assert cert.verdict
         assert cert.blocks == ((0, 1), (2,))
         assert len(cert.block_inertias) == 2
+
+    def test_gram_wrapped_at_most_once(self, tol, monkeypatch):
+        s = gram(Szego(), [0, 0.5, 0.3j])
+        built = []
+        init = HermitianMatrix.__init__
+
+        def counting_init(self, entries):
+            built.append(1)
+            init(self, entries)
+
+        monkeypatch.setattr(HermitianMatrix, "__init__", counting_init)
+        counts = []
+        for arg in (s.gram.a, s.gram, s):
+            built.clear()
+            assert certify_cnp(arg, tol).verdict
+            counts.append(len(built))
+        assert counts == [1, 0, 0]
 
     def test_inconsistent_zero_pattern_is_refutation(self, tol):
         K = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])

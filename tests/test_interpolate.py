@@ -27,7 +27,7 @@ from cnpkit import (
 )
 from cnpkit.interpolate import _block_pick
 from conftest import random_disk_points
-from theory import greedy_values_stepwise, pick_scalar
+from theory import greedy_values_stepwise, pick_scalar, szego_greedy_values_exact
 
 
 def szego_sample(points):
@@ -554,14 +554,15 @@ class TestEvaluateOneGram:
     def test_one_gram_call(self, monkeypatch):
         p, evals = greedy_case(Sobolev(), 217, 40, 30)
         calls = []
+        assemble = Sobolev.gram_matrix
 
-        def counting_gram(*args, **kwargs):
-            calls.append(args)
-            return gram(*args, **kwargs)
+        def counting_gram_matrix(kernel, points):
+            calls.append(points)
+            return assemble(kernel, points)
 
-        monkeypatch.setattr(cnpkit.interpolate, "gram", counting_gram)
+        monkeypatch.setattr(Sobolev, "gram_matrix", counting_gram_matrix)
         assert evaluate_interpolant(p, evals).shape == (30,)
-        assert len(calls) == 1 and len(calls[0][1]) == 70
+        assert len(calls) == 1 and len(calls[0]) == 70
 
     def test_indefinite_extension_refused_before_any_value(self, monkeypatch):
         # data {0, 1} plus evaluation point 2 span a PSD block; point 3 makes
@@ -593,6 +594,31 @@ class TestEvaluateOneGram:
         p = PickProblem.scalar(gram(k, [0]), [0])
         with pytest.raises(DomainError, match="not positive definite"):
             evaluate_interpolant(p, [1, 2])
+
+
+class TestGreedyAccuracy:
+    @pytest.mark.parametrize("seed", [7, 8, 9, 10])
+    def test_szego_values_near_the_exact_greedy_path(self, seed, tol):
+        p, evals = greedy_case(Szego(), seed, 5, 20)
+        vals = evaluate_interpolant(p, evals, tol)
+        exact = szego_greedy_values_exact(p, evals)
+        assert np.max(np.abs(vals - exact)) <= 1e-3
+
+    def test_no_eigensolve_beyond_one_by_one_after_validation(self, monkeypatch):
+        p, evals = greedy_case(Sobolev(), 217, 20, 30)
+        sizes = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                sizes.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        assert evaluate_interpolant(p, evals).shape == (30,)
+        # one validation of the 50-point Gram against its 21-point prefix's floor
+        assert sizes[:2] == [50, 21]
+        assert max(sizes[2:]) == 1
 
 
 class TestVectorVsComplete:

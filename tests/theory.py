@@ -5,11 +5,12 @@ Schur products and complements, the entrywise reciprocal, the inertia of a
 block-diagonal congruence, the intermediate ``m_matrix`` that ties the F
 test to the H test by congruence, normalization at a base point, the
 Dirichlet kernel's closed form, the scalar Pick matrix entry by entry, and
-the greedy interpolant computed one Gram per step.
+the greedy interpolant computed one Gram per step, or exactly for Szegő data.
 """
 
 import cmath
 
+import mpmath
 import numpy as np
 
 from cnpkit import (
@@ -163,3 +164,35 @@ def greedy_values_stepwise(p, eval_points, tol: Tolerances = DEFAULT_TOL) -> np.
         lam.append(complex(_schur_extension(K, targets, tol)[0][0, 0]))
         pts.append(q)
     return np.asarray(lam[p.sample.n:], dtype=complex)
+
+
+def szego_greedy_values_exact(p, eval_points, dps: int = 60) -> np.ndarray:
+    """Greedy interpolant values of scalar Szegő data at ``dps`` digits.
+
+    With ``P`` the Pick matrix of the points so far, ``k_i = k(x_i, q)`` and
+    ``m_i = conj(lam_i) k_i``, the Schur complement of the extended Pick
+    matrix at ``q`` is ``k(q, q) - k* P^-1 k + 2 Re(w k* P^-1 m) - A |w|^2``
+    with ``A = k(q, q) + m* P^-1 m``, whose maximum sits at the disk center
+    ``conj(k* P^-1 m) / A``. Each center is committed at full precision, so
+    the path is the exact greedy path of the data as written (binary64).
+    """
+    with mpmath.workdps(dps):
+        x = [mpmath.mpc(complex(z)) for z in p.sample.points]
+        lam = [mpmath.mpc(complex(v)) for v in p.targets.reshape(-1)]
+        values = []
+        for q in eval_points:
+            q = mpmath.mpc(complex(q))
+            n = len(x)
+            P = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    P[i, j] = (1 - mpmath.conj(lam[i]) * lam[j]) / (1 - mpmath.conj(x[i]) * x[j])
+            k = mpmath.matrix([1 / (1 - mpmath.conj(xi) * q) for xi in x])
+            m = mpmath.matrix([mpmath.conj(li) * ki for li, ki in zip(lam, k)])
+            Pm = mpmath.lu_solve(P, m)
+            b = sum(mpmath.conj(k[i]) * Pm[i] for i in range(n))
+            A = 1 / (1 - abs(q) ** 2) + sum(mpmath.conj(m[i]) * Pm[i] for i in range(n)).real
+            values.append(mpmath.conj(b) / A)
+            x.append(q)
+            lam.append(values[-1])
+        return np.array([complex(v) for v in values])
